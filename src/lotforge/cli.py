@@ -40,11 +40,15 @@ EXIT_GUARD = 3
 
 def optimality_gap(bestsol: float, bestbound: float) -> float:
     """Open gap percentage between an incumbent and a dual bound."""
+    if bestsol == bestbound:
+        return 0.0
     return 100.0 * (bestsol - bestbound) / bestsol
 
 
 def gap_to_best_known(best: float, b_star: float) -> float:
     """Deviation percentage of a solution value from the best known value."""
+    if best == b_star:
+        return 0.0
     return 100.0 * (best - b_star) / b_star
 
 
@@ -133,18 +137,19 @@ def _cmd_pre(args) -> int:
 def make_command_lp_source(template: str, relax: bool = True):
     """lp_source callback that shells out to an external LP solver.
 
-    The template must contain {lp} and {sol} placeholders; the command
-    is expected to read the LP file and write '<name> <value>' lines
-    (an 'objective <value>' line is skipped if present)."""
+    The template must contain {lp} and {sol} placeholders and may contain
+    {relax}, which becomes --relax when relax is true and nothing
+    otherwise. The command is expected to read the LP file and write
+    '<name> <value>' lines (an 'objective <value>' line is skipped if
+    present)."""
 
     def source(model: fm.MipModel):
         with tempfile.TemporaryDirectory(prefix="lotforge_") as tmp:
             lp_path = os.path.join(tmp, "model.lp")
             sol_path = os.path.join(tmp, "model.sol")
             Path(lp_path).write_text(fm.export_lp(model))
-            cmd = template.format(lp=shlex.quote(lp_path), sol=shlex.quote(sol_path))
-            if relax and "{relax}" in template:
-                cmd = cmd.replace("{relax}", "--relax")
+            cmd = template.format(lp=shlex.quote(lp_path), sol=shlex.quote(sol_path),
+                                  relax="--relax" if relax else "")
             proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
             if proc.returncode != 0 or not os.path.exists(sol_path):
                 return None
@@ -155,14 +160,19 @@ def make_command_lp_source(template: str, relax: bool = True):
 
 def read_point_file(text: str) -> fm.VarValueMap:
     point: fm.VarValueMap = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
+    for no, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        name, value = line.split()
+        if len(parts) != 2:
+            raise fm.LpParseError(f"point line {no}: expected '<name> <value>'")
+        name, value = parts
         if name == "objective":
             continue
-        point[fm.parse_var_name(name)] = float(value)
+        try:
+            point[fm.parse_var_name(name)] = float(value)
+        except ValueError as exc:
+            raise fm.LpParseError(f"point line {no}: {exc}") from None
     return point
 
 

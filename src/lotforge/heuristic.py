@@ -1,11 +1,11 @@
 """Multi-start randomized bottom-up DP heuristic.
 
 Each iteration inflates warehouse and retailer setup costs by an
-independent uniform factor in [1, 1 + alpha], then plans bottom-up:
-one lot-sizing DP per retailer, one per warehouse fed by the retailer
-shipments, and one for the plant fed by the warehouse shipments (the
-plant keeps its original costs). The assembled solution is always
-costed with the original instance costs.
+independent uniform factor in [1, 1 + alpha], then plans bottom-up
+with one batched lot-sizing DP call per level: all retailers, then all
+warehouses fed by the retailer shipments, then the plant fed by the
+warehouse shipments (the plant keeps its original costs). The
+assembled solution is always costed with the original instance costs.
 
 Iteration i draws from a generator seeded with (seed, i), so results do
 not depend on execution order and parallel runs match serial runs.
@@ -57,9 +57,7 @@ def randomize_setup_costs(instance: Instance, alpha: float,
     periods ascending within each facility. Plant costs are untouched.
     """
     out = np.array(instance.setup_cost)
-    T = instance.num_periods
-    for i in range(1, instance.num_facilities):
-        out[i] *= 1.0 + rng.uniform(0.0, alpha, size=T)
+    out[1:] *= 1.0 + rng.uniform(0.0, alpha, size=out[1:].shape)
     return out
 
 
@@ -68,43 +66,28 @@ def _one_iteration(instance: Instance, alpha: float, seed: int,
     rng = np.random.default_rng((seed, iteration))
     rand_sc = randomize_setup_costs(instance, alpha, rng)
     F, T, W = instance.num_facilities, instance.num_periods, instance.num_warehouses
+    retailers, warehouses, plant = slice(1 + W, F), slice(1, 1 + W), slice(0, 1)
 
     x = np.zeros((F, T))
     y = np.zeros((F, T))
-    s = np.zeros((F, T))
+    # Per-facility outflow: retailer demand, or shipments to successors.
+    # Each level's outflow is the demand its DP batch plans for.
+    out = np.zeros((F, T))
 
-    for r in range(instance.num_retailers):
-        fac = instance.retailer(r)
-        plan = solve_uls(instance.demand[r], rand_sc[fac], instance.holding_cost[fac])
-        x[fac], y[fac] = plan.produce, plan.setup
+    def plan(level: slice) -> None:
+        p = solve_uls(out[level], rand_sc[level], instance.holding_cost[level])
+        x[level], y[level] = p.produce, p.setup
 
-    for w in range(W):
-        fac = instance.warehouse(w)
-        wdem = np.zeros(T)
-        for r in instance.retailers_of(w):
-            wdem += x[instance.retailer(r)]
-        plan = solve_uls(wdem, rand_sc[fac], instance.holding_cost[fac])
-        x[fac], y[fac] = plan.produce, plan.setup
-
-    pdem = x[1:1 + W].sum(axis=0)
-    plan = solve_uls(pdem, instance.setup_cost[0], instance.holding_cost[0])
-    x[0], y[0] = plan.produce, plan.setup
+    out[retailers] = instance.demand
+    plan(retailers)
+    np.add.at(out[warehouses], instance.retailer_warehouse, x[retailers])
+    plan(warehouses)
+    out[0] = x[warehouses].sum(axis=0)
+    plan(plant)
 
     # Stocks follow from flow balance; the DPs never ship early, so all
     # stocks come out nonnegative.
-    for t in range(T):
-        prev_p = s[0, t - 1] if t else 0.0
-        s[0, t] = prev_p + x[0, t] - x[1:1 + W, t].sum()
-        for w in range(W):
-            fac = instance.warehouse(w)
-            prev = s[fac, t - 1] if t else 0.0
-            out = sum(x[instance.retailer(r), t] for r in instance.retailers_of(w))
-            s[fac, t] = prev + x[fac, t] - out
-        for r in range(instance.num_retailers):
-            fac = instance.retailer(r)
-            prev = s[fac, t - 1] if t else 0.0
-            s[fac, t] = prev + x[fac, t] - instance.demand[r, t]
-
+    s = np.cumsum(x - out, axis=1)
     sol = Solution(x=x, y=y, s=s, cost=0.0)
     sol.cost = evaluate_cost(instance, sol)
     return sol

@@ -304,10 +304,13 @@ def generate(spec: InstanceSpec) -> Instance:
 
 
 class ParseError(ValueError):
-    def __init__(self, line_no: int, reason: str):
+    """A malformed instance file; line_no is None for problems that
+    belong to the instance as a whole rather than to one line."""
+
+    def __init__(self, line_no: int | None, reason: str):
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"line {line_no}: {reason}")
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
 
 
 def write_instance(instance: Instance) -> str:
@@ -361,6 +364,8 @@ def read_instance(text: str) -> Instance:
             dims[key] = int(parts[1])
         except ValueError:
             raise ParseError(no, f"bad integer for {key}: {parts[1]!r}") from None
+        if dims[key] < 1:
+            raise ParseError(no, f"{key} must be >= 1, got {dims[key]}")
     T, W, R = dims["T"], dims["W"], dims["R"]
 
     def section(name: str):
@@ -405,6 +410,10 @@ def read_instance(text: str) -> Instance:
     if pos != len(lines):
         raise ParseError(lines[pos][0], "trailing content after HOLD section")
 
-    return Instance(num_periods=T, num_warehouses=W, num_retailers=R,
-                    retailer_warehouse=assign, demand=demand,
-                    setup_cost=setup, holding_cost=hold)
+    instance = Instance(num_periods=T, num_warehouses=W, num_retailers=R,
+                        retailer_warehouse=assign, demand=demand,
+                        setup_cost=setup, holding_cost=hold)
+    problems = validate(instance)
+    if problems:
+        raise ParseError(None, "invalid instance: " + "; ".join(problems))
+    return instance

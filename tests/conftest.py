@@ -7,6 +7,10 @@ independently computed optima can be compared with ==.
 
 from __future__ import annotations
 
+import importlib.util
+import shutil
+import sys
+
 import numpy as np
 
 from lotforge.formulations import VarId, VarValueMap
@@ -16,6 +20,20 @@ from lotforge.solution import RouteAssignment
 # (criterion name, "PASS" / "FAIL" / "SKIP") tuples filled in by the
 # acceptance tests and echoed after the pytest summary.
 ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
+
+
+def _lp_solve_command() -> list[str] | None:
+    """argv prefix of the LP-file solver: the console script when it is
+    on PATH, else the module run by this interpreter when scipy imports."""
+    script = shutil.which("lotforge-lp-solve")
+    if script is not None:
+        return [script]
+    if importlib.util.find_spec("scipy") is not None:
+        return [sys.executable, "-m", "lotforge.lpsolve"]
+    return None
+
+
+LP_SOLVE_CMD = _lp_solve_command()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,7 +8,7 @@ inline as well).
 
 import functools
 import itertools
-import shutil
+import shlex
 import subprocess
 
 import numpy as np
@@ -550,17 +550,17 @@ def test_generator_fidelity():
 
 
 # ----------------------------------------------------------------------
-# Optional external-solver criterion: only runs when an LP-reading
-# solver command is available on PATH.
+# Optional external-solver criterion: runs lotforge-lp-solve from PATH,
+# or the lotforge.lpsolve module when scipy imports; skips otherwise.
 
 @criterion("external-solver (MC optimum and monotone cut loop; optional)")
 def test_external_solver_optional():
-    solver = shutil.which("lotforge-lp-solve")
+    solver = conftest.LP_SOLVE_CMD
     if solver is None:
-        pytest.skip("no LP-format solver available on PATH")
+        pytest.skip("no LP-format solver available (no lotforge-lp-solve, no scipy)")
 
     rng = np.random.default_rng(60)
-    template = f"{solver} {{lp}} {{sol}} --relax"
+    template = shlex.join(solver) + " {lp} {sol} --relax"
     for _ in range(3):
         ins = tiny_instance(rng, max_retailers=2, max_periods=3)
 
@@ -573,7 +573,7 @@ def test_external_solver_optional():
             sol_path = os.path.join(tmp, "mc.sol")
             with open(lp_path, "w") as fh:
                 fh.write(fm.export_lp(mc))
-            proc = subprocess.run([solver, lp_path, sol_path],
+            proc = subprocess.run([*solver, lp_path, sol_path],
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             with open(sol_path) as fh:

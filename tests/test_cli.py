@@ -1,15 +1,16 @@
-import shutil
+import shlex
 
 import numpy as np
 import pytest
 
+from conftest import LP_SOLVE_CMD
 from lotforge import cli
 from lotforge.formulations import parse_lp
 from lotforge.heuristic import HeuristicConfig, run
 from lotforge.instance import read_instance
 from lotforge.oracle import OracleConfig, solve_exact
 
-HAS_SOLVER = shutil.which("lotforge-lp-solve") is not None
+HAS_SOLVER = LP_SOLVE_CMD is not None
 
 
 def gen_file(tmp_path, name="a.inst", retailers=3, warehouses=2, periods=3,
@@ -26,6 +27,8 @@ def gen_file(tmp_path, name="a.inst", retailers=3, warehouses=2, periods=3,
 def test_metric_formulas():
     assert cli.optimality_gap(200.0, 150.0) == pytest.approx(25.0)
     assert cli.gap_to_best_known(110.0, 100.0) == pytest.approx(10.0)
+    assert cli.optimality_gap(0.0, 0.0) == 0.0
+    assert cli.gap_to_best_known(0.0, 0.0) == 0.0
 
 
 def test_gen_parseable_and_deterministic(tmp_path):
@@ -187,12 +190,55 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert args.seed == 99
 
 
-@pytest.mark.skipif(not HAS_SOLVER, reason="lotforge-lp-solve not on PATH")
+@pytest.mark.skipif(not HAS_SOLVER, reason="no lotforge-lp-solve and no scipy")
 def test_export_cuts_with_external_solver(tmp_path, capsys):
     path = gen_file(tmp_path)
     out = tmp_path / "cuts.lp"
+    template = shlex.join(LP_SOLVE_CMD) + " {lp} {sol} {relax}"
     rc = cli.main(["export", str(path), "-o", str(out), "--cuts",
-                   "--lp-solver-cmd", "lotforge-lp-solve {lp} {sol} --relax"])
+                   "--lp-solver-cmd", template])
     assert rc == 0
     report = capsys.readouterr().out
     assert "status,ok" in report
+
+
+def _edit_instance(path, section, row, text):
+    lines = path.read_text().splitlines()
+    lines[lines.index(section) + 1 + row] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_invalid_instance_exit_code(tmp_path, capsys):
+    bad_assign = gen_file(tmp_path, "assign.inst")
+    _edit_instance(bad_assign, "ASSIGN", 0, "0 9")
+    assert cli.main(["export", str(bad_assign), "-o",
+                     str(tmp_path / "x.lp")]) == cli.EXIT_IO
+    assert "nonexistent warehouse 9" in capsys.readouterr().err
+    nan_setup = gen_file(tmp_path, "nan.inst")
+    _edit_instance(nan_setup, "SETUP", 1, "nan 1.0 1.0")
+    assert cli.main(["heur", str(nan_setup), "--iters", "2"]) == cli.EXIT_IO
+    assert cli.main(["export", str(nan_setup), "-o",
+                     str(tmp_path / "y.lp")]) == cli.EXIT_IO
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["y_p_t1", "y_p_t1 0.0 extra",
+                                  "y_p_t1 zero", "bogus%name 1.0"])
+def test_malformed_point_file_exit_code(tmp_path, capsys, line):
+    path = gen_file(tmp_path)
+    point = tmp_path / "bad.point"
+    point.write_text(f"# replay point\nx_p_t1 0.0\n{line}\n")
+    rc = cli.main(["export", str(path), "-o", str(tmp_path / "c.lp"),
+                   "--cuts", "--point", str(point)])
+    assert rc == cli.EXIT_IO
+    assert "point line 3" in capsys.readouterr().err
+
+
+def test_bench_zero_demand_instance(tmp_path):
+    path = gen_file(tmp_path, "zero.inst", retailers=2, warehouses=1)
+    for r in range(2):
+        _edit_instance(path, "DEMAND", r, "0 0 0")
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", str(tmp_path), "--iters", "3", "-o", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1] == "zero.inst,0.0,0.0,0.0"

@@ -4,6 +4,7 @@ import pytest
 from conftest import tiny_instance
 from lotforge.heuristic import (HeuristicConfig, _one_iteration,
                                 randomize_setup_costs, run)
+from lotforge.instance import InstanceSpec, generate
 from lotforge.lotsizing_dp import solve_uls
 from lotforge.oracle import OracleConfig, solve_exact
 from lotforge.solution import check_feasible, evaluate_cost
@@ -126,3 +127,15 @@ def test_invalid_instance_rejected():
         ins.num_retailers, ins.num_warehouses + 3))
     with pytest.raises(ValueError):
         run(bad, HeuristicConfig(iterations=1))
+
+
+def test_per_iteration_costs_golden():
+    # Captured from the per-facility DP implementation; any drift in the
+    # batched DP, the stock assembly or the random stream shows up here.
+    result = run(generate(InstanceSpec(30, 3, 8, seed=0)),
+                 HeuristicConfig(iterations=10, seed=0))
+    assert result.per_iteration_costs == [
+        80320.9195624059, 80492.61010092564, 80333.63775565318,
+        80317.18832051179, 80319.03710524793, 80238.93881652255,
+        80902.22068630371, 80684.12825508384, 80197.14606130362,
+        80392.78133478615]

@@ -180,6 +180,18 @@ def test_parse_skips_comments_and_blanks():
     assert back.num_retailers == 2
 
 
+def test_read_instance_rejects_invalid_content():
+    lines = write_instance(generate(spec(2, 1, 2))).splitlines()
+    with pytest.raises(ParseError) as err:
+        read_instance("\n".join(lines).replace("R 2", "R -1"))
+    assert err.value.line_no == 4
+    lines[lines.index("DEMAND") + 1] = "-3 7"
+    with pytest.raises(ParseError) as err:
+        read_instance("\n".join(lines))
+    assert err.value.line_no is None
+    assert "negative demand at retailer 0, period 1" in str(err.value)
+
+
 def test_validate_reports_problems():
     ins = generate(spec(2, 1, 2))
     bad = Instance(num_periods=2, num_warehouses=1, num_retailers=2,

@@ -132,3 +132,38 @@ def test_matches_brute_force(data):
     hc = [h / 4 for h in hc]
     plan = solve_uls(d, sc, hc)
     assert plan.cost == pytest.approx(brute_force_uls(d, sc, hc), rel=1e-12)
+
+
+def test_batch_input_validation():
+    with pytest.raises(ValueError):
+        solve_uls(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        solve_uls(np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        solve_uls(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), -1.0))
+    with pytest.raises(ValueError):
+        solve_uls(np.ones((2, 2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_rows_match_single_calls_and_brute_force(data):
+    # Small integer setups and holding costs of 0 or a few quarters make
+    # ties between block starts common; every cost is an exact float.
+    B = data.draw(st.integers(1, 5))
+    T = data.draw(st.integers(1, 7))
+    cells = lambda elements: st.lists(
+        st.lists(elements, min_size=T, max_size=T), min_size=B, max_size=B)
+    d = np.array(data.draw(cells(st.integers(0, 6))), dtype=float)
+    d[data.draw(st.lists(st.booleans(), min_size=B, max_size=B))] = 0.0
+    sc = np.array(data.draw(cells(st.integers(0, 12))), dtype=float)
+    hc = np.array(data.draw(cells(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]))))
+    batch = solve_uls(d, sc, hc)
+    assert batch.produce.shape == batch.setup.shape == (B, T)
+    assert batch.cost.shape == (B,)
+    for b in range(B):
+        row = solve_uls(d[b], sc[b], hc[b])
+        assert batch.produce[b].tobytes() == row.produce.tobytes()
+        assert batch.setup[b].tobytes() == row.setup.tobytes()
+        assert batch.cost[b] == row.cost
+        assert row.cost == brute_force_uls(d[b], sc[b], hc[b])
