@@ -101,7 +101,7 @@ def _cmd_gen(args) -> int:
 def _cmd_heur(args) -> int:
     instance = _load_instance(args.instance)
     config = HeuristicConfig(alpha=args.alpha, iterations=args.iters,
-                             seed=args.seed, parallel=args.parallel)
+                             seed=args.seed)
     result = run_heuristic(instance, config)
     if args.output:
         Path(args.output).write_text(write_solution_csv(instance, result.best))
@@ -289,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.20)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--with-times", action="store_true")
     p.add_argument("-o", "--output", help="solution CSV path")
     p.add_argument("--log", help="JSON-lines per-iteration log path")

@@ -1,12 +1,22 @@
 """Valid-inequality separation and the root cutting-plane driver.
 
-Six families are separated by inspection: single-, two- and three-level
-inequalities, each in the standard space (per facility, using aggregated
-demands) and in the retailer-disaggregated space (per retailer). For
-fixed structural parameters (facility or retailer, horizon prefix l and
-the level split points), each period slot independently contributes the
-smaller of its flow term and its demand-scaled setup term, which yields
-the most violated member of the family; ties go to the setup term.
+Six families of (l, S) inequalities are separated by inspection:
+single-, two- and three-level, each in the standard space (STD, per
+facility, aggregated demands) and in the retailer-disaggregated space
+(3LF, per retailer). Every family is a set of chains, rows of period
+slots that pair a flow variable with a setup variable and a demand row.
+An STD chain is one facility's x and y; a 3LF chain is retailer r's
+level-b flow with the setup of r's level-b predecessor. A family member
+fixes the horizon end l and split points that hand consecutive period
+segments 0..l to consecutive tiers of chains.
+
+Once l is fixed, each slot independently contributes the smaller of its
+flow term and its demand-scaled setup term (ties go to the setup term,
+which puts the slot in S), which yields the most violated member. One
+kernel computes these minima for every chain and l at once and takes
+prefix sums along the periods, so every family sums segment totals over
+all its split points in a few array operations (Barany, Van Roy and
+Wolsey's separation, extended along the levels).
 
 The driver never solves LPs itself: it pulls relaxation points from an
 injected callback and accumulates all violated cuts, deduplicated by
@@ -15,8 +25,11 @@ injected callback and accumulates all violated cuts, deduplicated by
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .formulations import Constraint, MipModel, VarId, VarValueMap
 from .instance import Instance, cumulative_demand
@@ -63,79 +76,166 @@ def eval_inequality(cut: Cut, point: VarValueMap) -> float:
 
 
 # --------------------------------------------------------------------------
-# Slot inspection shared by every family.
+# Chains and the separation kernel shared by every family.
 
-def _facilities(instance: Instance) -> list[tuple[int, int, int]]:
-    """(flat index, level, ordinal-within-level) for every facility."""
-    out = []
-    for fac in range(instance.num_facilities):
-        out.append((fac, instance.level(fac), instance.facility_id(fac).index))
-    return out
+class _Row:
+    """The variables VarId(family, b, idx, k) of one chain, built on access."""
 
+    __slots__ = ("family", "b", "idx")
 
-class _StdSlots:
-    """Termwise min over (x, d*y) slots of one facility in STD space."""
+    def __init__(self, family: str, b: int, idx: int):
+        self.family, self.b, self.idx = family, b, idx
 
-    def __init__(self, instance, cum, point):
-        self.cum = cum
-        self.point = point
-
-    def best(self, fac_key, fac_flat, k, l):
-        b, idx = fac_key
-        dkl = self.cum.table[fac_flat, k, l]
-        xv = self.point.get(VarId("x", b, idx, k), 0.0)
-        yv = self.point.get(VarId("y", b, idx, k), 0.0)
-        setup_term = dkl * yv
-        if setup_term <= xv:
-            return setup_term, True
-        return xv, False
+    def __getitem__(self, k: int) -> VarId:
+        return VarId(self.family, self.b, self.idx, k)
 
 
-def _mask_terms_std(instance, cum, fac, lo, hi, l, S_mask, coefs):
-    """Append the chosen x/y terms of facility fac over periods lo..hi."""
-    b, idx = instance.level(fac), instance.facility_id(fac).index
-    for k in range(lo, hi + 1):
-        if S_mask >> k & 1:
-            coefs[VarId("y", b, idx, k)] = coefs.get(VarId("y", b, idx, k), 0.0) \
-                + cum.table[fac, k, l]
+class _Chain(NamedTuple):
+    """One row of period slots: slot k pairs flow variable x[k] with setup
+    variable y[k], and d[k, l] is the demand the chain serves over k..l."""
+
+    x: Sequence[VarId]
+    y: Sequence[VarId]
+    d: np.ndarray
+
+
+def _std_key(instance: Instance, fac: int) -> tuple[int, int]:
+    return instance.level(fac), instance.facility_id(fac).index
+
+
+def _std_chain(instance: Instance, cum, fac: int) -> _Chain:
+    """Facility fac's own x and y in the standard space."""
+    b, idx = _std_key(instance, fac)
+    return _Chain(_Row("x", b, idx), _Row("y", b, idx), cum.table[fac])
+
+
+def _lf3_chain(instance: Instance, cum, r: int, b: int) -> _Chain:
+    """Retailer r's level-b flow with the setup of its level-b predecessor
+    (plant, r's warehouse, r itself). 3LF chain r*3 + b."""
+    pred = (0, int(instance.retailer_warehouse[r]), r)[b]
+    return _Chain(_Row("x3", b, r), _Row("y", b, pred), cum.table[instance.retailer(r)])
+
+
+class _Slots:
+    """The chains' values at a relaxation point; a missing variable reads 0."""
+
+    def __init__(self, chains, point: VarValueMap):
+        self.D = np.array([ch.d for ch in chains])
+        T = self.D.shape[1]
+        self.X = np.array([[point.get(ch.x[k], 0.0) for k in range(T)] for ch in chains])
+        self.Y = np.array([[point.get(ch.y[k], 0.0) for k in range(T)] for ch in chains])
+
+    def at(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix sums P and S bits of every chain for horizon end l.
+
+        Slot k contributes min(x_k, d_{k,l} y_k) and is in S when the setup
+        term is the smaller one, ties included. P[c, k] sums chain c's
+        contributions over periods before k, so a segment lo..hi totals
+        P[c, hi + 1] - P[c, lo]."""
+        setup = self.D[:, :, l] * self.Y
+        in_S = setup <= self.X
+        P = np.zeros((len(self.X), self.X.shape[1] + 1))
+        np.cumsum(np.where(in_S, setup, self.X), axis=1, out=P[:, 1:])
+        return P, in_S
+
+    def segment(self, l: int, c: int, lo: int, hi: int) -> tuple[float, int]:
+        """The kernel's (total, S mask) for periods lo..hi of chain c."""
+        P, in_S = self.at(l)
+        span = (1 << hi + 1) - (1 << lo)
+        return float(P[c, hi + 1] - P[c, lo]), _row_masks(in_S[c:c + 1])[0] & span
+
+
+def _row_masks(in_S: np.ndarray) -> list[int]:
+    """Each chain's S bits as an int, bit k = period k (T may exceed 63)."""
+    packed = np.packbits(in_S, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bounds(split: tuple, l: int) -> tuple:
+    """Tier i of a member with these split points covers periods
+    bounds[i]..bounds[i + 1] - 1."""
+    return (0, *(s + 1 for s in split), l + 1)
+
+
+def _cut(family: str, key: tuple, l: int, split: tuple, tiers: tuple,
+         masks: tuple, chains) -> Cut:
+    """The cut of one family member.
+
+    A tier is one chain with an int mask, or a list of chains with a tuple
+    of masks. No chain occurs twice in a member, so every variable gets
+    one term: d_{k,l} y_k for k in S, else x_k. The rhs is the demand of
+    the first tier's chain over 0..l."""
+    bounds = _bounds(split, l)
+    coefs: dict[VarId, float] = {}
+    for i, (tier, mask) in enumerate(zip(tiers, masks)):
+        for c, S_mask in (zip(tier, mask) if isinstance(tier, list) else [(tier, mask)]):
+            x, y, d = chains[c]
+            for k in range(bounds[i], bounds[i + 1]):
+                if S_mask >> k & 1:
+                    coefs[y[k]] = d[k, l]
+                else:
+                    coefs[x[k]] = 1.0
+    return Cut(family, key + (l, *split) + masks, coefs,
+               float(chains[tiers[0]].d[0, l]))
+
+
+def _separate(family: str, units: list, chains: list, point: VarValueMap,
+              tol: float) -> list[Cut]:
+    """Every member of a family violated by more than tol at point.
+
+    units are (key, tiers) with the same tier shapes. For every horizon end
+    l one kernel pass serves all units; a unit's total for each increasing
+    split point tuple is a sum of prefix-sum differences. Cuts come out
+    ordered by unit, then l, then split points."""
+    if not units:
+        return []
+    T = len(chains[0].d)
+    # The cuts reuse the chains' variables: build each VarId once per call.
+    chains = [_Chain([ch.x[k] for k in range(T)], [ch.y[k] for k in range(T)], ch.d)
+              for ch in chains]
+    slots = _Slots(chains, point)
+    m = len(units[0][1])
+    gathers = []  # per tier: chain rows to take and reduceat group starts
+    for i in range(m):
+        col = [tiers[i] for _, tiers in units]
+        if isinstance(col[0], list):
+            starts = np.cumsum([0] + [len(t) for t in col[:-1]])
+            gathers.append((np.concatenate(col), starts))
         else:
-            coefs[VarId("x", b, idx, k)] = coefs.get(VarId("x", b, idx, k), 0.0) + 1.0
-
-
-def _inspect_segment_std(slots, instance, fac, lo, hi, l):
-    """Sum of termwise minima and the chosen S bitmask for one segment."""
-    key = (instance.level(fac), instance.facility_id(fac).index)
-    total, mask = 0.0, 0
-    for k in range(lo, hi + 1):
-        val, in_S = slots.best(key, fac, k, l)
-        total += val
-        if in_S:
-            mask |= 1 << k
-    return total, mask
-
-
-def separate_single_level_std(instance: Instance, point: VarValueMap,
-                              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    cum = cumulative_demand(instance)
-    slots = _StdSlots(instance, cum, point)
+            gathers.append((np.array(col), None))
+    first = gathers[0][0]
+    hits, row_masks, splits_at = [np.empty((3, 0), dtype=np.intp)], {}, {}
+    for l in range(m - 1, T):
+        P, in_S = slots.at(l)
+        splits_at[l] = list(itertools.combinations(range(l), m - 1))
+        bounds = np.array([_bounds(sp, l) for sp in splits_at[l]])
+        total = 0.0
+        for i, (rows, starts) in enumerate(gathers):
+            G = P[rows] if starts is None else np.add.reduceat(P[rows], starts, axis=0)
+            total = total + (G[:, bounds[:, i + 1]] - G[:, bounds[:, i]])
+        rhs = slots.D[first, 0, l]
+        u, j = np.nonzero((rhs > tol)[:, None] & (rhs[:, None] - total > tol))
+        if len(u):
+            hits.append(np.stack([u, np.full_like(u, l), j]))
+            row_masks[l] = _row_masks(in_S)
     cuts = []
-    for fac in range(instance.num_facilities):
-        for l in range(instance.num_periods):
-            rhs = cum.table[fac, 0, l]
-            if rhs <= tol:
-                continue
-            total, mask = _inspect_segment_std(slots, instance, fac, 0, l, l)
-            if rhs - total > tol:
-                cuts.append(make_single_level_std_cut(instance, cum, fac, l, mask))
+    for u, l, j in sorted(map(tuple, np.concatenate(hits, axis=1).T.tolist())):
+        key, tiers = units[u]
+        split = splits_at[l][j]
+        bounds = _bounds(split, l)
+        masks = []
+        for i, tier in enumerate(tiers):
+            span = (1 << bounds[i + 1]) - (1 << bounds[i])
+            if isinstance(tier, list):
+                masks.append(tuple(row_masks[l][c] & span for c in tier))
+            else:
+                masks.append(row_masks[l][tier] & span)
+        cuts.append(_cut(family, key, l, split, tiers, tuple(masks), chains))
     return cuts
 
 
-def make_single_level_std_cut(instance, cum, fac, l, S_mask) -> Cut:
-    coefs: dict[VarId, float] = {}
-    _mask_terms_std(instance, cum, fac, 0, l, l, S_mask, coefs)
-    b, idx = instance.level(fac), instance.facility_id(fac).index
-    return Cut("SL_STD", (b, idx, l, S_mask), coefs, float(cum.table[fac, 0, l]))
-
+# --------------------------------------------------------------------------
+# The six families. A unit is (parameter key, tiers) over chain indices.
 
 def _two_level_pairs(instance: Instance) -> list[tuple[int, list[int]]]:
     """(facility, successor facilities at the lower level) pairs: plant with
@@ -149,218 +249,107 @@ def _two_level_pairs(instance: Instance) -> list[tuple[int, list[int]]]:
     return pairs
 
 
+def _std_chains(instance: Instance, cum) -> list[_Chain]:
+    return [_std_chain(instance, cum, fac) for fac in range(instance.num_facilities)]
+
+
+def _lf3_chains(instance: Instance, cum) -> list[_Chain]:
+    return [_lf3_chain(instance, cum, r, b)
+            for r in range(instance.num_retailers) for b in range(3)]
+
+
+def separate_single_level_std(instance: Instance, point: VarValueMap,
+                              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
+    cum = cumulative_demand(instance)
+    units = [(_std_key(instance, fac), (fac,))
+             for fac in range(instance.num_facilities)]
+    return _separate("SL_STD", units, _std_chains(instance, cum), point, tol)
+
+
+def make_single_level_std_cut(instance, cum, fac, l, S_mask) -> Cut:
+    return _cut("SL_STD", _std_key(instance, fac), l, (), (fac,), (S_mask,),
+                {fac: _std_chain(instance, cum, fac)})
+
+
 def separate_two_level_std(instance: Instance, point: VarValueMap,
                            tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    slots = _StdSlots(instance, cum, point)
-    cuts = []
-    for fac, succ in _two_level_pairs(instance):
-        if not succ:
-            continue
-        lower = instance.level(succ[0])
-        for l in range(1, instance.num_periods):
-            rhs = cum.table[fac, 0, l]
-            if rhs <= tol:
-                continue
-            for li in range(l):
-                total, upper_mask = _inspect_segment_std(slots, instance, fac, 0, li, l)
-                succ_masks = []
-                for j in succ:
-                    val, mask = _inspect_segment_std(slots, instance, j, li + 1, l, l)
-                    total += val
-                    succ_masks.append(mask)
-                if rhs - total > tol:
-                    cuts.append(make_two_level_std_cut(
-                        instance, cum, fac, lower, l, li, upper_mask,
-                        tuple(succ_masks)))
-    return cuts
+    units = [(_std_key(instance, fac) + (instance.level(succ[0]),), (fac, succ))
+             for fac, succ in _two_level_pairs(instance) if succ]
+    return _separate("TL_STD", units, _std_chains(instance, cum), point, tol)
 
 
 def make_two_level_std_cut(instance, cum, fac, lower_level, l, li,
                            upper_mask, succ_masks) -> Cut:
-    coefs: dict[VarId, float] = {}
-    _mask_terms_std(instance, cum, fac, 0, li, l, upper_mask, coefs)
-    succ = _successors_of(instance, fac, lower_level)
-    for j, mask in zip(succ, succ_masks):
-        _mask_terms_std(instance, cum, j, li + 1, l, l, mask, coefs)
-    b, idx = instance.level(fac), instance.facility_id(fac).index
-    return Cut("TL_STD", (b, idx, lower_level, l, li, upper_mask, succ_masks),
-               coefs, float(cum.table[fac, 0, l]))
+    if lower_level == 2:
+        succ = [instance.retailer(r) for r in instance.descendants(fac)]
+    else:
+        succ = instance.children(fac)
+    if not instance.level(fac) < lower_level <= 2 or not succ:
+        raise ValueError(f"no successors of facility {fac} at level {lower_level}")
+    chains = {j: _std_chain(instance, cum, j) for j in [fac] + succ}
+    return _cut("TL_STD", _std_key(instance, fac) + (lower_level,), l, (li,),
+                (fac, succ), (upper_mask, succ_masks), chains)
 
 
-def _successors_of(instance: Instance, fac: int, lower_level: int) -> list[int]:
-    for f, succ in _two_level_pairs(instance):
-        if f == fac and succ and instance.level(succ[0]) == lower_level:
-            return succ
-    raise ValueError(f"no successors of facility {fac} at level {lower_level}")
+def _three_level_std_tiers(instance: Instance) -> tuple:
+    return (0, [instance.warehouse(w) for w in range(instance.num_warehouses)],
+            [instance.retailer(r) for r in range(instance.num_retailers)])
 
 
 def separate_three_level_std(instance: Instance, point: VarValueMap,
                              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    slots = _StdSlots(instance, cum, point)
-    warehouses = [instance.warehouse(w) for w in range(instance.num_warehouses)]
-    retailers = [instance.retailer(r) for r in range(instance.num_retailers)]
-    cuts = []
-    for l in range(2, instance.num_periods):
-        rhs = cum.table[0, 0, l]
-        if rhs <= tol:
-            continue
-        for lp in range(l - 1):
-            plant_total, plant_mask = _inspect_segment_std(slots, instance, 0, 0, lp, l)
-            for lw in range(lp + 1, l):
-                total = plant_total
-                w_masks, r_masks = [], []
-                for j in warehouses:
-                    val, mask = _inspect_segment_std(slots, instance, j, lp + 1, lw, l)
-                    total += val
-                    w_masks.append(mask)
-                for j in retailers:
-                    val, mask = _inspect_segment_std(slots, instance, j, lw + 1, l, l)
-                    total += val
-                    r_masks.append(mask)
-                if rhs - total > tol:
-                    cuts.append(make_three_level_std_cut(
-                        instance, cum, l, lp, lw, plant_mask,
-                        tuple(w_masks), tuple(r_masks)))
-    return cuts
+    units = [((), _three_level_std_tiers(instance))]
+    return _separate("THL_STD", units, _std_chains(instance, cum), point, tol)
 
 
 def make_three_level_std_cut(instance, cum, l, lp, lw, plant_mask,
                              w_masks, r_masks) -> Cut:
-    coefs: dict[VarId, float] = {}
-    _mask_terms_std(instance, cum, 0, 0, lp, l, plant_mask, coefs)
-    for w, mask in enumerate(w_masks):
-        _mask_terms_std(instance, cum, instance.warehouse(w), lp + 1, lw, l, mask, coefs)
-    for r, mask in enumerate(r_masks):
-        _mask_terms_std(instance, cum, instance.retailer(r), lw + 1, l, l, mask, coefs)
-    return Cut("THL_STD", (l, lp, lw, plant_mask, w_masks, r_masks),
-               coefs, float(cum.table[0, 0, l]))
-
-
-# --------------------------------------------------------------------------
-# Retailer-disaggregated (3LF) space.
-
-def _pred_y(instance: Instance, r: int, b: int, k: int) -> VarId:
-    if b == 0:
-        return VarId("y", 0, 0, k)
-    if b == 1:
-        return VarId("y", 1, int(instance.retailer_warehouse[r]), k)
-    return VarId("y", 2, r, k)
-
-
-def _inspect_segment_3lf(instance, cum, point, r, b, lo, hi, l):
-    rfac = instance.retailer(r)
-    total, mask = 0.0, 0
-    for k in range(lo, hi + 1):
-        dkl = cum.table[rfac, k, l]
-        xv = point.get(VarId("x3", b, r, k), 0.0)
-        yv = point.get(_pred_y(instance, r, b, k), 0.0)
-        setup_term = dkl * yv
-        if setup_term <= xv:
-            total += setup_term
-            mask |= 1 << k
-        else:
-            total += xv
-    return total, mask
-
-
-def _mask_terms_3lf(instance, cum, r, b, lo, hi, l, S_mask, coefs):
-    rfac = instance.retailer(r)
-    for k in range(lo, hi + 1):
-        if S_mask >> k & 1:
-            y = _pred_y(instance, r, b, k)
-            coefs[y] = coefs.get(y, 0.0) + cum.table[rfac, k, l]
-        else:
-            x = VarId("x3", b, r, k)
-            coefs[x] = coefs.get(x, 0.0) + 1.0
+    return _cut("THL_STD", (), l, (lp, lw), _three_level_std_tiers(instance),
+                (plant_mask, w_masks, r_masks), _std_chains(instance, cum))
 
 
 def separate_single_level_3lf(instance: Instance, point: VarValueMap,
                               tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    cuts = []
-    for r in range(instance.num_retailers):
-        rfac = instance.retailer(r)
-        for b in range(3):
-            for l in range(instance.num_periods):
-                rhs = cum.table[rfac, 0, l]
-                if rhs <= tol:
-                    continue
-                total, mask = _inspect_segment_3lf(instance, cum, point, r, b, 0, l, l)
-                if rhs - total > tol:
-                    cuts.append(make_single_level_3lf_cut(instance, cum, r, b, l, mask))
-    return cuts
+    units = [((r, b), (3 * r + b,))
+             for r in range(instance.num_retailers) for b in range(3)]
+    return _separate("SL_3LF", units, _lf3_chains(instance, cum), point, tol)
 
 
 def make_single_level_3lf_cut(instance, cum, r, b, l, S_mask) -> Cut:
-    coefs: dict[VarId, float] = {}
-    _mask_terms_3lf(instance, cum, r, b, 0, l, l, S_mask, coefs)
-    return Cut("SL_3LF", (r, b, l, S_mask), coefs,
-               float(cum.table[instance.retailer(r), 0, l]))
+    return _cut("SL_3LF", (r, b), l, (), (3 * r + b,), (S_mask,),
+                {3 * r + b: _lf3_chain(instance, cum, r, b)})
 
 
 def separate_two_level_3lf(instance: Instance, point: VarValueMap,
                            tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    cuts = []
-    for r in range(instance.num_retailers):
-        rfac = instance.retailer(r)
-        for b in range(3):
-            for b2 in range(b + 1, 3):
-                for l in range(1, instance.num_periods):
-                    rhs = cum.table[rfac, 0, l]
-                    if rhs <= tol:
-                        continue
-                    for lb in range(l):
-                        t1, m1 = _inspect_segment_3lf(instance, cum, point,
-                                                      r, b, 0, lb, l)
-                        t2, m2 = _inspect_segment_3lf(instance, cum, point,
-                                                      r, b2, lb + 1, l, l)
-                        if rhs - t1 - t2 > tol:
-                            cuts.append(make_two_level_3lf_cut(
-                                instance, cum, r, b, b2, l, lb, m1, m2))
-    return cuts
+    units = [((r, b, b2), (3 * r + b, 3 * r + b2))
+             for r in range(instance.num_retailers)
+             for b in range(3) for b2 in range(b + 1, 3)]
+    return _separate("TL_3LF", units, _lf3_chains(instance, cum), point, tol)
 
 
 def make_two_level_3lf_cut(instance, cum, r, b, b2, l, lb, m1, m2) -> Cut:
-    coefs: dict[VarId, float] = {}
-    _mask_terms_3lf(instance, cum, r, b, 0, lb, l, m1, coefs)
-    _mask_terms_3lf(instance, cum, r, b2, lb + 1, l, l, m2, coefs)
-    return Cut("TL_3LF", (r, b, b2, l, lb, m1, m2), coefs,
-               float(cum.table[instance.retailer(r), 0, l]))
+    chains = {3 * r + j: _lf3_chain(instance, cum, r, j) for j in (b, b2)}
+    return _cut("TL_3LF", (r, b, b2), l, (lb,), (3 * r + b, 3 * r + b2),
+                (m1, m2), chains)
 
 
 def separate_three_level_3lf(instance: Instance, point: VarValueMap,
                              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    cuts = []
-    for r in range(instance.num_retailers):
-        rfac = instance.retailer(r)
-        for l in range(2, instance.num_periods):
-            rhs = cum.table[rfac, 0, l]
-            if rhs <= tol:
-                continue
-            for l0 in range(l - 1):
-                t0, m0 = _inspect_segment_3lf(instance, cum, point, r, 0, 0, l0, l)
-                for l1 in range(l0 + 1, l):
-                    t1, m1 = _inspect_segment_3lf(instance, cum, point,
-                                                  r, 1, l0 + 1, l1, l)
-                    t2, m2 = _inspect_segment_3lf(instance, cum, point,
-                                                  r, 2, l1 + 1, l, l)
-                    if rhs - t0 - t1 - t2 > tol:
-                        cuts.append(make_three_level_3lf_cut(
-                            instance, cum, r, l, l0, l1, m0, m1, m2))
-    return cuts
+    units = [((r,), (3 * r, 3 * r + 1, 3 * r + 2))
+             for r in range(instance.num_retailers)]
+    return _separate("THL_3LF", units, _lf3_chains(instance, cum), point, tol)
 
 
 def make_three_level_3lf_cut(instance, cum, r, l, l0, l1, m0, m1, m2) -> Cut:
-    coefs: dict[VarId, float] = {}
-    _mask_terms_3lf(instance, cum, r, 0, 0, l0, l, m0, coefs)
-    _mask_terms_3lf(instance, cum, r, 1, l0 + 1, l1, l, m1, coefs)
-    _mask_terms_3lf(instance, cum, r, 2, l1 + 1, l, l, m2, coefs)
-    return Cut("THL_3LF", (r, l, l0, l1, m0, m1, m2), coefs,
-               float(cum.table[instance.retailer(r), 0, l]))
+    chains = {3 * r + b: _lf3_chain(instance, cum, r, b) for b in range(3)}
+    return _cut("THL_3LF", (r,), l, (l0, l1), (3 * r, 3 * r + 1, 3 * r + 2),
+                (m0, m1, m2), chains)
 
 
 # --------------------------------------------------------------------------

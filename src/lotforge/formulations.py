@@ -107,11 +107,6 @@ class MipModel:
                     raise ValueError(f"row {con.name} references undeclared {var.name()}")
 
 
-# VarId shorthands used throughout; b is the network level of the facility.
-def std_var(fam: str, b: int, idx: int, k: int) -> VarId:
-    return VarId(fam, b, idx, k)
-
-
 def _y_vars(instance: Instance) -> list[VarDecl]:
     decls = []
     for fac in range(instance.num_facilities):
@@ -425,7 +420,8 @@ def _parse_expr(tokens: list[str], where: str) -> dict[VarId, float]:
 
 
 def parse_lp(text: str) -> MipModel:
-    """Parse LP text produced by export_lp back into a model."""
+    """Parse LP text produced by export_lp back into a model; malformed
+    text raises LpParseError."""
     kind = "UNKNOWN"
     sections: dict[str, list[str]] = {}
     current = None
@@ -486,7 +482,10 @@ def parse_lp(text: str) -> MipModel:
         if sense_pos is None or sense_pos != len(tokens) - 2:
             raise LpParseError(f"row {name}: expected '<expr> <sense> <rhs>'")
         sense = {"<": "<=", ">": ">="}.get(tokens[sense_pos], tokens[sense_pos])
-        rhs = float(tokens[-1])
+        try:
+            rhs = float(tokens[-1])
+        except ValueError:
+            raise LpParseError(f"row {name}: bad right-hand side {tokens[-1]!r}") from None
         coefs = _parse_expr(tokens[:sense_pos], f"row {name}")
         constraints.append(Constraint(name, coefs, sense, rhs))
 
@@ -519,7 +518,10 @@ def parse_lp(text: str) -> MipModel:
     binaries: set[VarId] = set()
     for line in sections.get("binaries", []):
         for tok in line.split():
-            binaries.add(parse_var_name(tok))
+            try:
+                binaries.add(parse_var_name(tok))
+            except ValueError as exc:
+                raise LpParseError(f"Binaries: {exc}") from None
 
     seen: dict[VarId, None] = {}
     for var in objective:

@@ -7,14 +7,13 @@ warehouses fed by the retailer shipments, then the plant fed by the
 warehouse shipments (the plant keeps its original costs). The
 assembled solution is always costed with the original instance costs.
 
-Iteration i draws from a generator seeded with (seed, i), so results do
-not depend on execution order and parallel runs match serial runs.
+Iteration i draws from a generator seeded with (seed, i), so its result
+does not depend on which iterations ran before it.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ class HeuristicConfig:
     alpha: float = DEFAULT_ALPHA
     iterations: int = DEFAULT_ITERATIONS
     seed: int = 0
-    parallel: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
@@ -99,16 +97,8 @@ def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     start = time.perf_counter()
-    iters = range(1, config.iterations + 1)
-
-    def cost_of(it: int) -> float:
-        return _one_iteration(instance, config.alpha, config.seed, it).cost
-
-    if config.parallel:
-        with ThreadPoolExecutor() as pool:
-            costs = list(pool.map(cost_of, iters))
-    else:
-        costs = [cost_of(it) for it in iters]
+    costs = [_one_iteration(instance, config.alpha, config.seed, it).cost
+             for it in range(1, config.iterations + 1)]
 
     # Deterministic fold: min cost, ties to the lowest iteration index.
     best_idx = min(range(len(costs)), key=lambda i: (costs[i], i))

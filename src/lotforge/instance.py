@@ -374,8 +374,7 @@ def read_instance(text: str) -> Instance:
             raise ParseError(no, f"missing {name} section (found {line!r})")
 
     section("ASSIGN")
-    assign = np.zeros(R, dtype=np.int64)
-    seen = set()
+    assign: dict[int, int] = {}
     for _ in range(R):
         no, line = take("ASSIGN row")
         parts = line.split()
@@ -385,9 +384,8 @@ def read_instance(text: str) -> Instance:
             r, w = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(no, f"bad ASSIGN row: {line!r}") from None
-        if not 0 <= r < R or r in seen:
+        if not 0 <= r < R or r in assign:
             raise ParseError(no, f"bad or duplicate retailer index {r}")
-        seen.add(r)
         assign[r] = w
 
     def matrix(name: str, rows: int, conv) -> np.ndarray:
@@ -410,9 +408,13 @@ def read_instance(text: str) -> Instance:
     if pos != len(lines):
         raise ParseError(lines[pos][0], "trailing content after HOLD section")
 
-    instance = Instance(num_periods=T, num_warehouses=W, num_retailers=R,
-                        retailer_warehouse=assign, demand=demand,
-                        setup_cost=setup, holding_cost=hold)
+    try:
+        instance = Instance(num_periods=T, num_warehouses=W, num_retailers=R,
+                            retailer_warehouse=[assign[r] for r in range(R)],
+                            demand=demand, setup_cost=setup, holding_cost=hold)
+    except OverflowError:
+        raise ParseError(None, "invalid instance: an integer does not fit "
+                               "in 64 bits") from None
     problems = validate(instance)
     if problems:
         raise ParseError(None, "invalid instance: " + "; ".join(problems))

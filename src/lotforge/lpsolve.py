@@ -5,14 +5,17 @@ continuous relaxation), and writes a solution file with one
 ``objective <value>`` line followed by ``<name> <value>`` lines. The
 core library never imports a solver; this tool exists so the cutting
 plane driver and the CLI can shell out to *some* LP source, and doubles
-as a reference consumer of the LP files."""
+as a reference consumer of the LP files.
+
+Exit codes: 0 solved, 1 infeasible or solver failure, 2 unreadable or
+malformed LP file, or unwritable output file."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .formulations import parse_lp
+from .formulations import LpParseError, parse_lp
 
 
 def solve_model(model, relax: bool = False):
@@ -65,17 +68,25 @@ def main(argv=None) -> int:
                         help="solve the continuous relaxation")
     args = parser.parse_args(argv)
 
-    with open(args.lp_file) as fh:
-        model = parse_lp(fh.read())
+    try:
+        with open(args.lp_file) as fh:
+            model = parse_lp(fh.read())
+    except (OSError, UnicodeDecodeError, LpParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = solve_model(model, relax=args.relax)
     if result is None:
         print("infeasible or solver failure", file=sys.stderr)
         return 1
     obj, values = result
-    with open(args.out_file, "w") as fh:
-        fh.write(f"objective {obj!r}\n")
-        for var, val in values.items():
-            fh.write(f"{var.name()} {val!r}\n")
+    try:
+        with open(args.out_file, "w") as fh:
+            fh.write(f"objective {obj!r}\n")
+            for var, val in values.items():
+                fh.write(f"{var.name()} {val!r}\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

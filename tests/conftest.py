@@ -12,6 +12,7 @@ import shutil
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lotforge.formulations import VarId, VarValueMap
 from lotforge.instance import Instance
@@ -34,6 +35,22 @@ def _lp_solve_command() -> list[str] | None:
 
 
 LP_SOLVE_CMD = _lp_solve_command()
+
+
+# Parser fuzzing: each edit removes `cut` characters at position pos
+# (taken modulo the text length) and inserts `piece` there.
+_PIECES = ["", "0", "7", "-", "+", ".", "e", " ", "\n", ":", "=", ">=", "#",
+           "x", "1x", "y_r1", "9" * 25, "inf", "nan", "Bounds", "Binaries",
+           "End", "ASSIGN", "R"]
+TEXT_EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 6),
+                                st.sampled_from(_PIECES)), min_size=1, max_size=4)
+
+
+def apply_edits(text: str, edits) -> str:
+    for pos, cut, piece in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + piece + text[i + cut:]
+    return text
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -257,12 +257,12 @@ def test_separation_exactness():
     W, R = ins.num_warehouses, ins.num_retailers
     for _ in range(2):
         point = _frac_std(ins, rng)
-        slots = cm._StdSlots(ins, cum, point)
+        slots = cm._Slots(cm._std_chains(ins, cum), point)
         for fac in range(ins.num_facilities):
             for l in range(T):
                 built = {(m,): cm.make_single_level_std_cut(ins, cum, fac, l, m)
                          for m in _masks(0, l)}
-                total, mask = cm._inspect_segment_std(slots, ins, fac, 0, l, l)
+                total, mask = slots.segment(l, fac, 0, l)
                 _assert_brute_match(point, built, total, (mask,))
         for fac, succ in cm._two_level_pairs(ins):
             lower = ins.level(succ[0])
@@ -274,11 +274,10 @@ def test_separation_exactness():
                                 *([_masks(li + 1, l)] * len(succ))):
                             built[(um,) + sm] = cm.make_two_level_std_cut(
                                 ins, cum, fac, lower, l, li, um, tuple(sm))
-                    total, um = cm._inspect_segment_std(slots, ins, fac, 0, li, l)
+                    total, um = slots.segment(l, fac, 0, li)
                     chosen = [um]
                     for j in succ:
-                        val, m = cm._inspect_segment_std(slots, ins, j,
-                                                         li + 1, l, l)
+                        val, m = slots.segment(l, j, li + 1, l)
                         total += val
                         chosen.append(m)
                     _assert_brute_match(point, built, total, chosen)
@@ -292,28 +291,26 @@ def test_separation_exactness():
                         built[combo] = cm.make_three_level_std_cut(
                             ins, cum, l, lp, lw, combo[0],
                             tuple(combo[1:1 + W]), tuple(combo[1 + W:]))
-                    total, pm = cm._inspect_segment_std(slots, ins, 0, 0, lp, l)
+                    total, pm = slots.segment(l, 0, 0, lp)
                     chosen = [pm]
                     for w in range(W):
-                        val, m = cm._inspect_segment_std(
-                            slots, ins, ins.warehouse(w), lp + 1, lw, l)
+                        val, m = slots.segment(l, ins.warehouse(w), lp + 1, lw)
                         total += val
                         chosen.append(m)
                     for r in range(R):
-                        val, m = cm._inspect_segment_std(
-                            slots, ins, ins.retailer(r), lw + 1, l, l)
+                        val, m = slots.segment(l, ins.retailer(r), lw + 1, l)
                         total += val
                         chosen.append(m)
                     _assert_brute_match(point, built, total, chosen)
 
         point3 = _frac_3lf(ins, rng)
+        slots3 = cm._Slots(cm._lf3_chains(ins, cum), point3)
         for r in range(R):
             for b in range(3):
                 for l in range(T):
                     built = {(m,): cm.make_single_level_3lf_cut(
                         ins, cum, r, b, l, m) for m in _masks(0, l)}
-                    total, mask = cm._inspect_segment_3lf(ins, cum, point3,
-                                                          r, b, 0, l, l)
+                    total, mask = slots3.segment(l, 3 * r + b, 0, l)
                     _assert_brute_match(point3, built, total, (mask,))
             for b in range(3):
                 for b2 in range(b + 1, 3):
@@ -324,10 +321,8 @@ def test_separation_exactness():
                                 for m2 in _masks(lb + 1, l):
                                     built[(m1, m2)] = cm.make_two_level_3lf_cut(
                                         ins, cum, r, b, b2, l, lb, m1, m2)
-                            t1, m1 = cm._inspect_segment_3lf(
-                                ins, cum, point3, r, b, 0, lb, l)
-                            t2, m2 = cm._inspect_segment_3lf(
-                                ins, cum, point3, r, b2, lb + 1, l, l)
+                            t1, m1 = slots3.segment(l, 3 * r + b, 0, lb)
+                            t2, m2 = slots3.segment(l, 3 * r + b2, lb + 1, l)
                             _assert_brute_match(point3, built, t1 + t2, (m1, m2))
             for l in range(2, T):
                 for l0 in range(l - 1):
@@ -339,12 +334,9 @@ def test_separation_exactness():
                                     built[(m0, m1, m2)] = \
                                         cm.make_three_level_3lf_cut(
                                             ins, cum, r, l, l0, l1, m0, m1, m2)
-                        t0, m0 = cm._inspect_segment_3lf(ins, cum, point3,
-                                                         r, 0, 0, l0, l)
-                        t1, m1 = cm._inspect_segment_3lf(ins, cum, point3,
-                                                         r, 1, l0 + 1, l1, l)
-                        t2, m2 = cm._inspect_segment_3lf(ins, cum, point3,
-                                                         r, 2, l1 + 1, l, l)
+                        t0, m0 = slots3.segment(l, 3 * r, 0, l0)
+                        t1, m1 = slots3.segment(l, 3 * r + 1, l0 + 1, l1)
+                        t2, m2 = slots3.segment(l, 3 * r + 2, l1 + 1, l)
                         _assert_brute_match(point3, built, t0 + t1 + t2,
                                             (m0, m1, m2))
 
@@ -487,7 +479,7 @@ def test_preprocessing_safety():
 # ----------------------------------------------------------------------
 # Determinism.
 
-@criterion("determinism (generator and heuristic serial/parallel)")
+@criterion("determinism (generator, heuristic rerun and iteration order)")
 def test_determinism():
     spec = InstanceSpec(num_retailers=6, num_warehouses=2, num_periods=5,
                         demand_type=DemandType.DYNAMIC,
@@ -497,13 +489,19 @@ def test_determinism():
 
     rng = np.random.default_rng(8)
     ins = tiny_instance(rng)
-    serial = run(ins, HeuristicConfig(iterations=50, seed=6, parallel=False))
-    parallel = run(ins, HeuristicConfig(iterations=50, seed=6, parallel=True))
-    assert serial.per_iteration_costs == parallel.per_iteration_costs
-    assert serial.best_cost == parallel.best_cost
-    assert np.array_equal(serial.best.x, parallel.best.x)
-    assert np.array_equal(serial.best.y, parallel.best.y)
-    assert np.array_equal(serial.best.s, parallel.best.s)
+    config = HeuristicConfig(iterations=50, seed=6)
+    first = run(ins, config)
+    again = run(ins, config)
+    # Iteration i depends only on (seed, i): evaluated in reverse order,
+    # the iterations give the same costs.
+    reverse = {it: _one_iteration(ins, config.alpha, config.seed, it).cost
+               for it in range(config.iterations, 0, -1)}
+    assert first.per_iteration_costs == [reverse[it] for it in range(1, 51)]
+    assert first.per_iteration_costs == again.per_iteration_costs
+    assert first.best_cost == again.best_cost
+    assert np.array_equal(first.best.x, again.best.x)
+    assert np.array_equal(first.best.y, again.best.y)
+    assert np.array_equal(first.best.s, again.best.s)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import LP_SOLVE_CMD
-from lotforge import cli
+from lotforge import cli, lpsolve
 from lotforge.formulations import parse_lp
 from lotforge.heuristic import HeuristicConfig, run
 from lotforge.instance import read_instance
@@ -48,6 +48,28 @@ def test_io_error_exit_code(tmp_path):
     bad = tmp_path / "bad.inst"
     bad.write_text("not an instance\n")
     assert cli.main(["heur", str(bad)]) == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("text", [
+    None,
+    b"\xff\xfe not utf-8",
+    b"Minimize\n obj: y_p_t1\nSubject To\n c1: x_p_t1 >= 1x\nEnd\n",
+    b"Minimize\n obj: y_p_t1\nBinaries\n y_r1\nEnd\n",
+], ids=["missing", "not-utf8", "bad-rhs", "bad-binary-name"])
+def test_lp_solve_unreadable_file_exit_code(tmp_path, capsys, text):
+    lp = tmp_path / "model.lp"
+    if text is not None:
+        lp.write_bytes(text)
+    assert lpsolve.main([str(lp), str(tmp_path / "model.sol")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lp_solve_unwritable_output_exit_code(tmp_path, capsys):
+    pytest.importorskip("scipy")
+    lp = tmp_path / "model.lp"
+    lp.write_text("Minimize\n obj: y_p_t1\nBinaries\n y_p_t1\nEnd\n")
+    assert lpsolve.main([str(lp), str(tmp_path / "no-dir" / "model.sol")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_size_guard_exit_code(tmp_path):

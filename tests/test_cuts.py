@@ -209,12 +209,12 @@ def test_single_level_std_brute_force():
     cum = cumulative_demand(ins)
     for _ in range(5):
         point = fractional_point_std(ins, rng)
-        slots = cm._StdSlots(ins, cum, point)
+        slots = cm._Slots(cm._std_chains(ins, cum), point)
         for fac in range(ins.num_facilities):
             for l in range(4):
                 built = {(m,): cm.make_single_level_std_cut(ins, cum, fac, l, m)
                          for m in masks(0, l)}
-                total, mask = cm._inspect_segment_std(slots, ins, fac, 0, l, l)
+                total, mask = slots.segment(l, fac, 0, l)
                 check_inspection_against_brute(point, built, total, (mask,))
 
 
@@ -223,7 +223,7 @@ def test_two_level_std_brute_force():
     ins = fixed_instance()
     cum = cumulative_demand(ins)
     point = fractional_point_std(ins, rng)
-    slots = cm._StdSlots(ins, cum, point)
+    slots = cm._Slots(cm._std_chains(ins, cum), point)
     for fac, succ in cm._two_level_pairs(ins):
         lower = ins.level(succ[0])
         for l in range(1, 4):
@@ -234,10 +234,10 @@ def test_two_level_std_brute_force():
                     for sm in itertools.product(*succ_mask_space):
                         built[(um,) + sm] = cm.make_two_level_std_cut(
                             ins, cum, fac, lower, l, li, um, tuple(sm))
-                total, um = cm._inspect_segment_std(slots, ins, fac, 0, li, l)
+                total, um = slots.segment(l, fac, 0, li)
                 sms = []
                 for j in succ:
-                    val, m = cm._inspect_segment_std(slots, ins, j, li + 1, l, l)
+                    val, m = slots.segment(l, j, li + 1, l)
                     total += val
                     sms.append(m)
                 check_inspection_against_brute(point, built, total, (um, *sms))
@@ -248,7 +248,7 @@ def test_three_level_std_brute_force():
     ins = fixed_instance()
     cum = cumulative_demand(ins)
     point = fractional_point_std(ins, rng)
-    slots = cm._StdSlots(ins, cum, point)
+    slots = cm._Slots(cm._std_chains(ins, cum), point)
     W, R = ins.num_warehouses, ins.num_retailers
     for l in range(2, 4):
         for lp in range(l - 1):
@@ -260,16 +260,14 @@ def test_three_level_std_brute_force():
                     built[combo] = cm.make_three_level_std_cut(
                         ins, cum, l, lp, lw, combo[0],
                         tuple(combo[1:1 + W]), tuple(combo[1 + W:]))
-                total, pm = cm._inspect_segment_std(slots, ins, 0, 0, lp, l)
+                total, pm = slots.segment(l, 0, 0, lp)
                 chosen = [pm]
                 for w in range(W):
-                    val, m = cm._inspect_segment_std(
-                        slots, ins, ins.warehouse(w), lp + 1, lw, l)
+                    val, m = slots.segment(l, ins.warehouse(w), lp + 1, lw)
                     total += val
                     chosen.append(m)
                 for r in range(R):
-                    val, m = cm._inspect_segment_std(
-                        slots, ins, ins.retailer(r), lw + 1, l, l)
+                    val, m = slots.segment(l, ins.retailer(r), lw + 1, l)
                     total += val
                     chosen.append(m)
                 check_inspection_against_brute(point, built, total, chosen)
@@ -280,12 +278,13 @@ def test_single_level_3lf_brute_force():
     ins = fixed_instance()
     cum = cumulative_demand(ins)
     point = fractional_point_3lf(ins, rng)
+    slots = cm._Slots(cm._lf3_chains(ins, cum), point)
     for r in range(ins.num_retailers):
         for b in range(3):
             for l in range(4):
                 built = {(m,): cm.make_single_level_3lf_cut(ins, cum, r, b, l, m)
                          for m in masks(0, l)}
-                total, mask = cm._inspect_segment_3lf(ins, cum, point, r, b, 0, l, l)
+                total, mask = slots.segment(l, 3 * r + b, 0, l)
                 check_inspection_against_brute(point, built, total, (mask,))
 
 
@@ -294,6 +293,7 @@ def test_two_level_3lf_brute_force():
     ins = fixed_instance()
     cum = cumulative_demand(ins)
     point = fractional_point_3lf(ins, rng)
+    slots = cm._Slots(cm._lf3_chains(ins, cum), point)
     for r in range(ins.num_retailers):
         for b in range(3):
             for b2 in range(b + 1, 3):
@@ -304,10 +304,8 @@ def test_two_level_3lf_brute_force():
                             for m2 in masks(lb + 1, l):
                                 built[(m1, m2)] = cm.make_two_level_3lf_cut(
                                     ins, cum, r, b, b2, l, lb, m1, m2)
-                        t1, m1 = cm._inspect_segment_3lf(ins, cum, point,
-                                                         r, b, 0, lb, l)
-                        t2, m2 = cm._inspect_segment_3lf(ins, cum, point,
-                                                         r, b2, lb + 1, l, l)
+                        t1, m1 = slots.segment(l, 3 * r + b, 0, lb)
+                        t2, m2 = slots.segment(l, 3 * r + b2, lb + 1, l)
                         check_inspection_against_brute(point, built, t1 + t2,
                                                        (m1, m2))
 
@@ -317,6 +315,7 @@ def test_three_level_3lf_brute_force():
     ins = fixed_instance()
     cum = cumulative_demand(ins)
     point = fractional_point_3lf(ins, rng)
+    slots = cm._Slots(cm._lf3_chains(ins, cum), point)
     for r in range(ins.num_retailers):
         for l in range(2, 4):
             for l0 in range(l - 1):
@@ -327,11 +326,9 @@ def test_three_level_3lf_brute_force():
                             for m2 in masks(l1 + 1, l):
                                 built[(m0, m1, m2)] = cm.make_three_level_3lf_cut(
                                     ins, cum, r, l, l0, l1, m0, m1, m2)
-                    t0, m0 = cm._inspect_segment_3lf(ins, cum, point, r, 0, 0, l0, l)
-                    t1, m1 = cm._inspect_segment_3lf(ins, cum, point,
-                                                     r, 1, l0 + 1, l1, l)
-                    t2, m2 = cm._inspect_segment_3lf(ins, cum, point,
-                                                     r, 2, l1 + 1, l, l)
+                    t0, m0 = slots.segment(l, 3 * r, 0, l0)
+                    t1, m1 = slots.segment(l, 3 * r + 1, l0 + 1, l1)
+                    t2, m2 = slots.segment(l, 3 * r + 2, l1 + 1, l)
                     check_inspection_against_brute(point, built, t0 + t1 + t2,
                                                    (m0, m1, m2))
 
@@ -343,9 +340,33 @@ def test_tie_goes_to_setup_term():
     # Engineer an exact tie at (plant, period 0): x == d * y.
     point[VarId("y", 0, 0, 0)] = 0.5
     point[VarId("x", 0, 0, 0)] = 0.5 * cum.table[0, 0, 3]
-    slots = cm._StdSlots(ins, cum, point)
-    _, mask = cm._inspect_segment_std(slots, ins, 0, 0, 3, 3)
+    slots = cm._Slots(cm._std_chains(ins, cum), point)
+    _, mask = slots.segment(3, 0, 0, 3)
     assert mask & 1  # period 0 lands in S despite the tie
+
+
+def test_masks_above_bit_62():
+    # 70 periods: S masks need more than 64 bits, so they must stay ints.
+    T = 70
+    ins = Instance(num_periods=T, num_warehouses=1, num_retailers=1,
+                   retailer_warehouse=[0], demand=[[5] * T],
+                   setup_cost=np.ones((3, T)), holding_cost=np.ones((3, T)))
+    cum = cumulative_demand(ins)
+    point = zeros_point(ins)
+    for fac in range(ins.num_facilities):
+        b, idx = ins.level(fac), ins.facility_id(fac).index
+        for k in range(T):
+            point[VarId("y", b, idx, k)] = 0.1
+            point[VarId("x", b, idx, k)] = 5.0 if k % 2 == 0 else 0.0
+    high = [c for c in cm.separate_single_level_std(ins, point, tol=10.0)
+            if c.params[3] >> 63]
+    assert high
+    for cut in high:
+        b, idx, l, mask = cut.params
+        # One facility per level, so its flat index is its level b.
+        assert mask == sum(1 << k for k in range(l + 1)
+                           if cum.table[b, k, l] * 0.1 <= point[VarId("x", b, idx, k)])
+        assert cm.eval_inequality(cut, point) < -10.0
 
 
 # ----------------------------------------------------------------------

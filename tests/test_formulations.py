@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (convex_combination, lf3_point_from_routes,
-                      random_routes, tiny_instance)
+from conftest import (TEXT_EDITS, apply_edits, convex_combination,
+                      lf3_point_from_routes, random_routes, tiny_instance)
 from lotforge import formulations as fm
 from lotforge.instance import Instance, cumulative_demand
 from lotforge.oracle import OracleConfig, solve_exact
@@ -243,6 +245,23 @@ def test_parse_errors_carry_location():
     with pytest.raises(fm.LpParseError) as err:
         fm.parse_lp("Minimize\n obj: y_p_t1\nSubject To\n c1: bogus%name >= 1\nEnd\n")
     assert "c1" in str(err.value)
+    with pytest.raises(fm.LpParseError) as err:
+        fm.parse_lp("Minimize\n obj: y_p_t1\nSubject To\n c1: x_p_t1 >= 1x\nEnd\n")
+    assert "c1" in str(err.value)
+    with pytest.raises(fm.LpParseError) as err:
+        fm.parse_lp("Minimize\n obj: y_p_t1\nBinaries\n y_r1\nEnd\n")
+    assert "y_r1" in str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([fm.build_std, fm.build_mc, fm.build_3lf]), TEXT_EDITS)
+def test_parse_lp_mutated_text_raises_only_lp_parse_error(build, edits):
+    text = apply_edits(fm.export_lp(build(small_instance())), edits)
+    try:
+        model = fm.parse_lp(text)
+    except fm.LpParseError:
+        return
+    model.check()
 
 
 def test_mip_start_export():

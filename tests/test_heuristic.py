@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_instance
 from lotforge.heuristic import (HeuristicConfig, _one_iteration,
                                 randomize_setup_costs, run)
-from lotforge.instance import InstanceSpec, generate
+from lotforge.instance import Instance, InstanceSpec, generate
 from lotforge.lotsizing_dp import solve_uls
 from lotforge.oracle import OracleConfig, solve_exact
 from lotforge.solution import check_feasible, evaluate_cost
@@ -87,14 +89,42 @@ def test_every_iterate_feasible_and_costed_with_original_costs():
 def test_serial_parallel_and_rerun_identical():
     rng = np.random.default_rng(6)
     ins = tiny_instance(rng)
-    serial = run(ins, HeuristicConfig(iterations=40, seed=9, parallel=False))
-    again = run(ins, HeuristicConfig(iterations=40, seed=9, parallel=False))
-    par = run(ins, HeuristicConfig(iterations=40, seed=9, parallel=True))
-    assert serial.per_iteration_costs == again.per_iteration_costs
-    assert serial.per_iteration_costs == par.per_iteration_costs
-    assert serial.best_cost == par.best_cost
-    assert np.array_equal(serial.best.x, par.best.x)
-    assert np.array_equal(serial.best.y, par.best.y)
+    config = HeuristicConfig(iterations=40, seed=9)
+    first = run(ins, config)
+    again = run(ins, config)
+    # Iteration i depends only on (seed, i): evaluated in reverse order,
+    # the iterations give the same costs.
+    reverse = {it: _one_iteration(ins, config.alpha, config.seed, it).cost
+               for it in range(config.iterations, 0, -1)}
+    assert first.per_iteration_costs == again.per_iteration_costs
+    assert first.per_iteration_costs == [reverse[it] for it in range(1, 41)]
+    assert first.best_cost == again.best_cost
+    assert np.array_equal(first.best.x, again.best.x)
+    assert np.array_equal(first.best.y, again.best.y)
+
+
+@st.composite
+def tiny_instances(draw):
+    W = draw(st.integers(1, 2))
+    R = draw(st.integers(W, 3))
+    T = draw(st.integers(1, 4))
+    F = 1 + W + R
+    extra = draw(st.lists(st.integers(0, W - 1), min_size=R - W, max_size=R - W))
+    rows = lambda n, cell: st.lists(st.lists(cell, min_size=T, max_size=T),
+                                    min_size=n, max_size=n)
+    return Instance(num_periods=T, num_warehouses=W, num_retailers=R,
+                    retailer_warehouse=list(range(W)) + extra,
+                    demand=draw(rows(R, st.integers(0, 30))),
+                    setup_cost=draw(rows(F, st.floats(0, 400))),
+                    holding_cost=draw(rows(F, st.floats(0, 3))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_instances(), st.floats(0, 1), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_best_solution_feasible_with_nonnegative_stock(ins, alpha, iterations, seed):
+    best = run(ins, HeuristicConfig(alpha=alpha, iterations=iterations, seed=seed)).best
+    assert check_feasible(ins, best) == []
+    assert (best.s >= 0).all()
 
 
 def test_best_cost_prefix_monotone():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TEXT_EDITS, apply_edits
 from lotforge import instance as inst
 from lotforge.instance import (DemandType, FixedCostType, Instance,
                                InstanceSpec, NetworkShape, ParseError,
@@ -190,6 +191,21 @@ def test_read_instance_rejects_invalid_content():
         read_instance("\n".join(lines))
     assert err.value.line_no is None
     assert "negative demand at retailer 0, period 1" in str(err.value)
+    lines[lines.index("DEMAND") + 1] = "9" * 25 + " 7"
+    with pytest.raises(ParseError) as err:
+        read_instance("\n".join(lines))
+    assert err.value.line_no is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXT_EDITS)
+def test_read_instance_mutated_text_raises_only_parse_error(edits):
+    text = apply_edits(write_instance(generate(spec(3, 2, 3))), edits)
+    try:
+        ins = read_instance(text)
+    except ParseError:
+        return
+    assert validate(ins) == []
 
 
 def test_validate_reports_problems():

@@ -110,6 +110,50 @@ def test_earliest_period_tie_break():
     assert plan.produce[0] == 10.0
 
 
+def reference_uls(demand, setup_cost, holding_cost):
+    """Scalar Wagner-Whitin recursion in solve_uls's operation order: a
+    block starting at k and ending before t costs (best[k] + hold) + setup,
+    with the prefix sums accumulated period by period; the earliest start
+    wins ties. Returns (cost, produce)."""
+    T = len(demand)
+    H = [0.0] * T
+    for t in range(1, T):
+        H[t] = H[t - 1] + holding_cost[t - 1]
+    D, G = [0.0] * (T + 1), [0.0] * (T + 1)
+    for t in range(1, T + 1):
+        D[t] = D[t - 1] + demand[t - 1]
+        G[t] = G[t - 1] + demand[t - 1] * H[t - 1]
+    best, start = [0.0] * (T + 1), [0] * (T + 1)
+    for t in range(1, T + 1):
+        costs = []
+        for k in range(t):
+            block = D[t] - D[k]
+            hold = (G[t] - G[k]) - H[k] * block
+            costs.append((best[k] + hold) + (setup_cost[k] if block > 0 else 0.0))
+        best[t] = min(costs)
+        start[t] = costs.index(best[t])
+    produce, t = [0.0] * T, T
+    while t > 0:
+        produce[start[t]] += D[t] - D[start[t]]
+        t = start[t]
+    return best[T], produce
+
+
+def test_operation_order_decides_real_valued_tie():
+    # In real arithmetic both plans cost 9.3: produce 2, then 14 in period 2
+    # (1.3 + 5.6 + 6 * 0.4), or produce in every period (1.3 + 5.6 + 2.4).
+    # In floating point, rounding picks the plan, so only the reference's
+    # order of additions reproduces the DP's plan.
+    d, sc, hc = [2.0, 8.0, 6.0], [1.3, 5.6, 2.4], [1.9, 0.4, 1.0]
+    cost, produce = reference_uls(d, sc, hc)
+    assert produce == [2.0, 14.0, 0.0]
+    plan = solve_uls(d, sc, hc)
+    assert plan.cost == cost
+    assert plan.produce.tolist() == produce
+    batch = solve_uls(np.array([d, d]), np.array([sc, sc]), np.array([hc, hc]))
+    assert batch.produce.tolist() == [produce, produce]
+
+
 def test_setup_cost_shift_monotonicity():
     rng = np.random.default_rng(2)
     for _ in range(30):
