@@ -19,7 +19,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +73,14 @@ def _default_seed() -> int:
     return int(os.environ.get("LOTFORGE_SEED", "0"))
 
 
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with a rejected option value as a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _load_instance(path: str) -> Instance:
     with open(path) as fh:
         return read_instance(fh.read())
@@ -89,8 +96,7 @@ def _cmd_gen(args) -> int:
         network_shape=NetworkShape(args.shape),
         seed=args.seed,
     )
-    instance = generate(spec)
-    text = write_instance(instance)
+    text = write_instance(_checked(generate, spec))
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -99,9 +105,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_heur(args) -> int:
+    config = _checked(HeuristicConfig, alpha=args.alpha, iterations=args.iters,
+                      seed=args.seed)
     instance = _load_instance(args.instance)
-    config = HeuristicConfig(alpha=args.alpha, iterations=args.iters,
-                             seed=args.seed)
     result = run_heuristic(instance, config)
     if args.output:
         Path(args.output).write_text(write_solution_csv(instance, result.best))
@@ -190,8 +196,8 @@ def _cmd_export(args) -> int:
             source = lambda _model: replay
         else:
             raise _UsageError("--cuts needs --lp-solver-cmd or --point")
-        config = cuts_mod.CutConfig(violation_tol=args.cut_tol,
-                                    max_rounds=args.cut_rounds)
+        config = _checked(cuts_mod.CutConfig, violation_tol=args.cut_tol,
+                          max_rounds=args.cut_rounds)
         result = cuts_mod.cutting_plane_loop(instance, model, source, config)
         model = cuts_mod.add_cuts_to_model(model, result.cuts)
         print(f"cuts,{len(result.cuts)}")
@@ -232,11 +238,9 @@ def _cmd_bench(args) -> int:
     paths = sorted(Path(args.directory).glob("*.inst"))
     if not paths:
         raise _UsageError(f"no .inst files in {args.directory}")
-    config = HeuristicConfig(alpha=args.alpha, iterations=args.iters,
-                             seed=args.seed)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(
-            lambda p: _bench_one(p, config, args.max_bits), paths))
+    config = _checked(HeuristicConfig, alpha=args.alpha, iterations=args.iters,
+                      seed=args.seed)
+    reports = [_bench_one(p, config, args.max_bits) for p in paths]
 
     def fmt(val):
         return "" if val is None else repr(round(val, 6))
@@ -325,7 +329,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.20)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-bits", type=int, default=20)
     p.add_argument("--markdown", action="store_true")
     p.add_argument("--with-times", action="store_true")
@@ -346,7 +349,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (OSError, ParseError, fm.LpParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, fm.LpParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .formulations import Constraint, MipModel, VarId, VarValueMap
+from .formulations import Constraint, MipModel, VarId, VarValueMap, facility_keys
 from .instance import Instance, cumulative_demand
 
 DEFAULT_VIOLATION_TOL = 10.0
@@ -99,21 +99,19 @@ class _Chain(NamedTuple):
     d: np.ndarray
 
 
-def _std_key(instance: Instance, fac: int) -> tuple[int, int]:
-    return instance.level(fac), instance.facility_id(fac).index
-
-
 def _std_chain(instance: Instance, cum, fac: int) -> _Chain:
     """Facility fac's own x and y in the standard space."""
-    b, idx = _std_key(instance, fac)
+    b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
     return _Chain(_Row("x", b, idx), _Row("y", b, idx), cum.table[fac])
 
 
 def _lf3_chain(instance: Instance, cum, r: int, b: int) -> _Chain:
     """Retailer r's level-b flow with the setup of its level-b predecessor
-    (plant, r's warehouse, r itself). 3LF chain r*3 + b."""
-    pred = (0, int(instance.retailer_warehouse[r]), r)[b]
-    return _Chain(_Row("x3", b, r), _Row("y", b, pred), cum.table[instance.retailer(r)])
+    on its path (plant, r's warehouse, r itself). 3LF chain r*3 + b."""
+    fac = instance.retailer(r)
+    pred = (0, instance.parent[fac], fac)[b]
+    return _Chain(_Row("x3", b, r), _Row("y", b, int(instance.ordinal[pred])),
+                  cum.table[fac])
 
 
 class _Slots:
@@ -261,34 +259,33 @@ def _lf3_chains(instance: Instance, cum) -> list[_Chain]:
 def separate_single_level_std(instance: Instance, point: VarValueMap,
                               tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    units = [(_std_key(instance, fac), (fac,))
-             for fac in range(instance.num_facilities)]
+    units = [(key, (fac,)) for fac, key in enumerate(facility_keys(instance))]
     return _separate("SL_STD", units, _std_chains(instance, cum), point, tol)
 
 
 def make_single_level_std_cut(instance, cum, fac, l, S_mask) -> Cut:
-    return _cut("SL_STD", _std_key(instance, fac), l, (), (fac,), (S_mask,),
+    return _cut("SL_STD", facility_keys(instance)[fac], l, (), (fac,), (S_mask,),
                 {fac: _std_chain(instance, cum, fac)})
 
 
 def separate_two_level_std(instance: Instance, point: VarValueMap,
                            tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
-    units = [(_std_key(instance, fac) + (instance.level(succ[0]),), (fac, succ))
+    keys = facility_keys(instance)
+    units = [(keys[fac] + (int(instance.level[succ[0]]),), (fac, succ))
              for fac, succ in _two_level_pairs(instance) if succ]
     return _separate("TL_STD", units, _std_chains(instance, cum), point, tol)
 
 
 def make_two_level_std_cut(instance, cum, fac, lower_level, l, li,
                            upper_mask, succ_masks) -> Cut:
-    if lower_level == 2:
-        succ = [instance.retailer(r) for r in instance.descendants(fac)]
-    else:
-        succ = instance.children(fac)
-    if not instance.level(fac) < lower_level <= 2 or not succ:
+    level = instance.level
+    succ = np.flatnonzero((level == lower_level)
+                          & ((instance.parent == fac) | (fac == 0))).tolist()
+    if not level[fac] < lower_level <= 2 or not succ:
         raise ValueError(f"no successors of facility {fac} at level {lower_level}")
     chains = {j: _std_chain(instance, cum, j) for j in [fac] + succ}
-    return _cut("TL_STD", _std_key(instance, fac) + (lower_level,), l, (li,),
+    return _cut("TL_STD", facility_keys(instance)[fac] + (lower_level,), l, (li,),
                 (fac, succ), (upper_mask, succ_masks), chains)
 
 

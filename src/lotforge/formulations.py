@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import Instance, cumulative_demand
+from .instance import Instance, cumulative_demand, facility_label
 
 INF = math.inf
 
@@ -34,8 +34,7 @@ class VarId(NamedTuple):
 
     def name(self) -> str:
         if self.family in ("x", "s", "y"):
-            lbl = "p" if self.b == 0 else ("w" if self.b == 1 else "r") + str(self.idx)
-            return f"{self.family}_{lbl}_t{self.k + 1}"
+            return f"{self.family}_{facility_label(self.b, self.idx)}_t{self.k + 1}"
         if self.family == "w":
             return f"w{self.b}_r{self.idx}_k{self.k + 1}_t{self.t + 1}"
         if self.family == "sig":
@@ -107,54 +106,55 @@ class MipModel:
                     raise ValueError(f"row {con.name} references undeclared {var.name()}")
 
 
+def facility_keys(instance: Instance) -> list[tuple[int, int]]:
+    """(level, ordinal) of every facility, the b and idx of its variables."""
+    return list(zip(instance.level.tolist(), instance.ordinal.tolist()))
+
+
 def _y_vars(instance: Instance) -> list[VarDecl]:
-    decls = []
-    for fac in range(instance.num_facilities):
-        fid = instance.facility_id(fac)
-        for k in range(instance.num_periods):
-            decls.append(VarDecl(VarId("y", instance.level(fac), fid.index, k),
-                                 0.0, 1.0, True))
-    return decls
+    return [VarDecl(VarId("y", b, idx, k), 0.0, 1.0, True)
+            for b, idx in facility_keys(instance) for k in range(instance.num_periods)]
 
 
-def _fac_key(instance: Instance, fac: int) -> tuple[int, int]:
-    return instance.level(fac), instance.facility_id(fac).index
+def _setup_objective(instance: Instance) -> dict[VarId, float]:
+    return {VarId("y", b, idx, k): float(instance.setup_cost[fac, k])
+            for fac, (b, idx) in enumerate(facility_keys(instance))
+            for k in range(instance.num_periods)}
 
 
 def build_std(instance: Instance) -> MipModel:
     cum = cumulative_demand(instance)
     T = instance.num_periods
+    keys = facility_keys(instance)
     decls: list[VarDecl] = []
     obj: dict[VarId, float] = {}
     cons: list[Constraint] = []
 
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
+    for fac, (b, idx) in enumerate(keys):
         for k in range(T):
             decls.append(VarDecl(VarId("x", b, idx, k), 0.0, cum.tail(fac, k), False))
             decls.append(VarDecl(VarId("s", b, idx, k), 0.0, INF, False))
     decls.extend(_y_vars(instance))
 
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
+    for fac, (b, idx) in enumerate(keys):
         for k in range(T):
             obj[VarId("y", b, idx, k)] = float(instance.setup_cost[fac, k])
             hc = float(instance.holding_cost[fac, k])
             if hc:
                 obj[VarId("s", b, idx, k)] = hc
 
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
-        lbl = instance.facility_id(fac).label()
-        children = instance.children(fac)
+    children: list[list[tuple[int, int]]] = [[] for _ in keys]
+    for j, parent in enumerate(instance.parent.tolist()[1:], start=1):
+        children[parent].append(keys[j])
+    for fac, (b, idx) in enumerate(keys):
+        lbl = facility_label(b, idx)
         for t in range(T):
             coefs = {VarId("x", b, idx, t): 1.0, VarId("s", b, idx, t): -1.0}
             if t > 0:
                 coefs[VarId("s", b, idx, t - 1)] = 1.0
             rhs = 0.0
             if b < 2:
-                for j in children:
-                    jb, jidx = _fac_key(instance, j)
+                for jb, jidx in children[fac]:
                     coefs[VarId("x", jb, jidx, t)] = -1.0
             else:
                 rhs = float(instance.demand[idx, t])
@@ -169,22 +169,23 @@ def build_std(instance: Instance) -> MipModel:
     return model
 
 
+def _paths(instance: Instance):
+    """Per retailer r: its facility index, the facilities of its path from
+    the plant (0, parent, itself) and the ordinals of those facilities."""
+    for r in range(instance.num_retailers):
+        fac = instance.retailer(r)
+        path = (0, int(instance.parent[fac]), fac)
+        yield r, fac, path, [int(instance.ordinal[a]) for a in path]
+
+
 def build_mc(instance: Instance) -> MipModel:
-    T, W, R = instance.num_periods, instance.num_warehouses, instance.num_retailers
+    T = instance.num_periods
     decls: list[VarDecl] = list(_y_vars(instance))
-    obj: dict[VarId, float] = {}
+    obj = _setup_objective(instance)
     cons: list[Constraint] = []
 
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
-        for k in range(T):
-            obj[VarId("y", b, idx, k)] = float(instance.setup_cost[fac, k])
-
-    for r in range(R):
-        wfac = instance.warehouse(int(instance.retailer_warehouse[r]))
-        rfac = instance.retailer(r)
-        hold = (instance.holding_cost[0], instance.holding_cost[wfac],
-                instance.holding_cost[rfac])
+    for r, fac, path, ords in _paths(instance):
+        hold = instance.holding_cost[list(path)]
         for t in range(T):
             d = float(instance.demand[r, t])
             for k in range(t + 1):
@@ -196,11 +197,6 @@ def build_mc(instance: Instance) -> MipModel:
                         if hc:
                             obj[VarId("sig", b, r, k, t)] = hc
 
-    y_of = (lambda r, k: VarId("y", 0, 0, k),
-            lambda r, k: VarId("y", 1, int(instance.retailer_warehouse[r]), k),
-            lambda r, k: VarId("y", 2, r, k))
-
-    for r in range(R):
         for t in range(T):
             d = float(instance.demand[r, t])
             for k in range(t + 1):
@@ -226,7 +222,7 @@ def build_mc(instance: Instance) -> MipModel:
                 for b in range(3):
                     coefs = {VarId("w", b, r, k, t): 1.0}
                     if d:
-                        coefs[y_of[b](r, k)] = -d
+                        coefs[VarId("y", b, ords[b], k)] = -d
                     cons.append(Constraint(f"mcsetup{b}_r{r}_k{k + 1}_t{t + 1}",
                                            coefs, "<=", 0.0))
 
@@ -237,33 +233,20 @@ def build_mc(instance: Instance) -> MipModel:
 
 def build_3lf(instance: Instance) -> MipModel:
     cum = cumulative_demand(instance)
-    T, R = instance.num_periods, instance.num_retailers
+    T = instance.num_periods
     decls: list[VarDecl] = []
-    obj: dict[VarId, float] = {}
     cons: list[Constraint] = []
 
-    for r in range(R):
-        rfac = instance.retailer(r)
+    for r, fac, _, _ in _paths(instance):
         for b in range(3):
             for t in range(T):
-                decls.append(VarDecl(VarId("x3", b, r, t), 0.0, cum.tail(rfac, t), False))
+                decls.append(VarDecl(VarId("x3", b, r, t), 0.0, cum.tail(fac, t), False))
                 decls.append(VarDecl(VarId("s3", b, r, t), 0.0, INF, False))
     decls.extend(_y_vars(instance))
+    obj = _setup_objective(instance)
 
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
-        for k in range(T):
-            obj[VarId("y", b, idx, k)] = float(instance.setup_cost[fac, k])
-
-    y_of = (lambda r, k: VarId("y", 0, 0, k),
-            lambda r, k: VarId("y", 1, int(instance.retailer_warehouse[r]), k),
-            lambda r, k: VarId("y", 2, r, k))
-
-    for r in range(R):
-        wfac = instance.warehouse(int(instance.retailer_warehouse[r]))
-        rfac = instance.retailer(r)
-        hold = (instance.holding_cost[0], instance.holding_cost[wfac],
-                instance.holding_cost[rfac])
+    for r, fac, path, ords in _paths(instance):
+        hold = instance.holding_cost[list(path)]
         for b in range(3):
             for t in range(T):
                 hc = float(hold[b][t])
@@ -278,7 +261,8 @@ def build_3lf(instance: Instance) -> MipModel:
                 else:
                     rhs = float(instance.demand[r, t])
                 cons.append(Constraint(f"bal3_{b}_r{r}_t{t + 1}", coefs, "=", rhs))
-                setup = {VarId("x3", b, r, t): 1.0, y_of[b](r, t): -cum.tail(rfac, t)}
+                setup = {VarId("x3", b, r, t): 1.0,
+                         VarId("y", b, ords[b], t): -cum.tail(fac, t)}
                 cons.append(Constraint(f"setup3_{b}_r{r}_t{t + 1}", setup, "<=", 0.0))
 
     model = MipModel("3LF", decls, obj, cons)
@@ -300,13 +284,15 @@ def map_3lf_to_std(instance: Instance, point: VarValueMap) -> VarValueMap:
     for var, val in point.items():
         if var.family == "y":
             out[var] = val
-    T = instance.num_periods
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
-        for k in range(T):
+    served: list[list[int]] = [[] for _ in range(instance.num_facilities)]
+    for r, _, path, _ in _paths(instance):
+        for a in path:
+            served[a].append(r)
+    for fac, (b, idx) in enumerate(facility_keys(instance)):
+        for k in range(instance.num_periods):
             for fam_out, fam_in in (("x", "x3"), ("s", "s3")):
                 total = 0.0
-                for r in instance.descendants(fac):
+                for r in served[fac]:
                     key = VarId(fam_in, b, r, k)
                     if key not in point:
                         raise KeyError(f"missing value for {key.name()}")
@@ -550,8 +536,7 @@ def std_point_from_solution(instance: Instance, x: np.ndarray, y: np.ndarray,
                             s: np.ndarray) -> VarValueMap:
     """Flatten (F, T) solution matrices into an STD-space value map."""
     point: VarValueMap = {}
-    for fac in range(instance.num_facilities):
-        b, idx = _fac_key(instance, fac)
+    for fac, (b, idx) in enumerate(facility_keys(instance)):
         for t in range(instance.num_periods):
             point[VarId("x", b, idx, t)] = float(x[fac, t])
             point[VarId("y", b, idx, t)] = float(y[fac, t])

@@ -78,7 +78,7 @@ def _one_iteration(instance: Instance, alpha: float, seed: int,
 
     out[retailers] = instance.demand
     plan(retailers)
-    np.add.at(out[warehouses], instance.retailer_warehouse, x[retailers])
+    np.add.at(out, instance.parent[retailers], x[retailers])
     plan(warehouses)
     out[0] = x[warehouses].sum(axis=0)
     plan(plant)

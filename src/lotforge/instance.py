@@ -2,8 +2,12 @@
 
 A network consists of a single plant (level 0), a set of warehouses
 (level 1) and a set of retailers (level 2), each retailer attached to
-exactly one warehouse. Facilities are addressed by a flat index:
-0 = plant, 1..W = warehouses, 1+W.. = retailers. Periods are 0-based
+exactly one warehouse. This tree is fixed when the instance is built,
+and Instance owns it: every facility has a flat index (0 = plant,
+1..W = warehouses, 1+W.. = retailers), and the read-only arrays level,
+ordinal (index within its level) and parent (-1 for the plant) describe
+it. Code addresses facilities by flat index only; (level, ordinal)
+appears only in names, through facility_label. Periods are 0-based
 internally and 1-based in file formats and variable names.
 """
 
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,22 +45,10 @@ class NetworkShape(enum.Enum):
     UNBALANCED = "unbalanced"
 
 
-class FacilityKind(enum.Enum):
-    PLANT = 0
-    WAREHOUSE = 1
-    RETAILER = 2
-
-
-@dataclass(frozen=True)
-class FacilityId:
-    kind: FacilityKind
-    index: int = 0
-
-    def label(self) -> str:
-        if self.kind is FacilityKind.PLANT:
-            return "p"
-        prefix = "w" if self.kind is FacilityKind.WAREHOUSE else "r"
-        return f"{prefix}{self.index}"
+def facility_label(level: int, ordinal: int) -> str:
+    """A facility's name in variable names, row names, messages and
+    reports: p, w<ordinal> or r<ordinal>."""
+    return "p" if level == 0 else f"{'wr'[level - 1]}{ordinal}"
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,9 @@ class Instance:
 
     demand has shape (R, T); setup_cost and holding_cost have shape
     (1 + W + R, T) in facility order plant, warehouses, retailers.
+    level, ordinal and parent have shape (F,) and are derived from the
+    sizes and retailer_warehouse, as are the per-warehouse retailer lists
+    behind retailers_of.
     """
 
     num_periods: int
@@ -96,6 +91,10 @@ class Instance:
     demand: np.ndarray
     setup_cost: np.ndarray
     holding_cost: np.ndarray
+    level: np.ndarray = field(init=False, repr=False, compare=False)
+    ordinal: np.ndarray = field(init=False, repr=False, compare=False)
+    parent: np.ndarray = field(init=False, repr=False, compare=False)
+    _retailers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "retailer_warehouse",
@@ -103,8 +102,18 @@ class Instance:
         object.__setattr__(self, "demand", np.asarray(self.demand, dtype=np.int64))
         object.__setattr__(self, "setup_cost", np.asarray(self.setup_cost, dtype=float))
         object.__setattr__(self, "holding_cost", np.asarray(self.holding_cost, dtype=float))
-        for arr in (self.retailer_warehouse, self.demand,
-                    self.setup_cost, self.holding_cost):
+        # The network tree. A retailer mapped to a missing warehouse gets a
+        # parent outside 1..W and no warehouse lists it; validate reports it.
+        W, R, rw = self.num_warehouses, self.num_retailers, self.retailer_warehouse
+        object.__setattr__(self, "level", np.repeat(np.arange(3), (1, W, R)))
+        object.__setattr__(self, "ordinal",
+                           np.concatenate(([0], np.arange(W), np.arange(R))))
+        object.__setattr__(self, "parent", np.concatenate(
+            ([-1], np.zeros(W, dtype=np.int64), 1 + rw)))
+        object.__setattr__(self, "_retailers",
+                           tuple(np.flatnonzero(rw == w).tolist() for w in range(W)))
+        for arr in (self.retailer_warehouse, self.demand, self.setup_cost,
+                    self.holding_cost, self.level, self.ordinal, self.parent):
             arr.setflags(write=False)
 
     # -- flat facility indexing -------------------------------------------
@@ -122,47 +131,18 @@ class Instance:
     def retailer(self, r: int) -> int:
         return 1 + self.num_warehouses + r
 
-    def facility_id(self, fac: int) -> FacilityId:
-        if fac == 0:
-            return FacilityId(FacilityKind.PLANT, 0)
-        if fac <= self.num_warehouses:
-            return FacilityId(FacilityKind.WAREHOUSE, fac - 1)
-        return FacilityId(FacilityKind.RETAILER, fac - 1 - self.num_warehouses)
-
-    def level(self, fac: int) -> int:
-        if fac == 0:
-            return 0
-        return 1 if fac <= self.num_warehouses else 2
-
-    def children(self, fac: int) -> list[int]:
-        """Direct successors of a facility in the distribution network."""
-        if fac == 0:
-            return [self.warehouse(w) for w in range(self.num_warehouses)]
-        if fac <= self.num_warehouses:
-            w = fac - 1
-            return [self.retailer(r) for r in range(self.num_retailers)
-                    if self.retailer_warehouse[r] == w]
-        return []
-
     def retailers_of(self, w: int) -> list[int]:
-        return [r for r in range((self.num_retailers))
-                if self.retailer_warehouse[r] == w]
-
-    def descendants(self, fac: int) -> list[int]:
-        """Retailer indices served (transitively) by a facility."""
-        if fac == 0:
-            return list(range(self.num_retailers))
-        if fac <= self.num_warehouses:
-            return self.retailers_of(fac - 1)
-        return [fac - 1 - self.num_warehouses]
+        """Indices of the retailers warehouse w serves, ascending."""
+        return list(self._retailers[w])
 
     def facility_demand(self) -> np.ndarray:
         """Per-period demand aggregated per facility, shape (F, T)."""
         F, T = self.num_facilities, self.num_periods
+        retailers = slice(1 + self.num_warehouses, F)
         out = np.zeros((F, T))
-        out[1 + self.num_warehouses:] = self.demand
-        for r in range(self.num_retailers):
-            out[self.warehouse(int(self.retailer_warehouse[r]))] += self.demand[r]
+        out[retailers] = self.demand
+        # add.at adds retailer rows one at a time, in ascending order.
+        np.add.at(out, self.parent[retailers], self.demand)
         out[0] = self.demand.sum(axis=0)
         return out
 
@@ -265,6 +245,9 @@ def generate(spec: InstanceSpec) -> Instance:
     of both endpoints; real draws are half-open.
     """
     R, W, T = spec.num_retailers, spec.num_warehouses, spec.num_periods
+    if min(R, W, T) < 1:
+        raise ValueError(f"num_retailers ({R}), num_warehouses ({W}) and "
+                         f"num_periods ({T}) must be >= 1")
     if W > R:
         raise ValueError(f"num_warehouses ({W}) exceeds num_retailers ({R})")
     rng = np.random.default_rng(spec.seed)

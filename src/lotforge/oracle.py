@@ -162,9 +162,11 @@ def _routes_for_patterns(instance, patterns, forbidden) -> RouteAssignment:
     hp = _hold_prefix(instance.holding_cost[0])
     routes: RouteAssignment = {}
     for r in range(instance.num_retailers):
-        w = int(instance.retailer_warehouse[r])
-        hw = _hold_prefix(instance.holding_cost[instance.warehouse(w)])
-        hr = _hold_prefix(instance.holding_cost[instance.retailer(r)])
+        rfac = instance.retailer(r)
+        wfac = instance.parent[rfac]
+        w = int(instance.ordinal[wfac])
+        hw = _hold_prefix(instance.holding_cost[wfac])
+        hr = _hold_prefix(instance.holding_cost[rfac])
         for t in range(T):
             if instance.demand[r, t] <= 0:
                 continue
@@ -203,8 +205,8 @@ def solve_exact_routes(instance: Instance, config: OracleConfig = OracleConfig()
 
     demands = []  # (retailer, t, qty, candidate routes sorted by holding cost)
     for r in range(instance.num_retailers):
-        w = int(instance.retailer_warehouse[r])
-        wfac, rfac = instance.warehouse(w), instance.retailer(r)
+        rfac = instance.retailer(r)
+        wfac = int(instance.parent[rfac])
         hw = _hold_prefix(instance.holding_cost[wfac])
         hr = _hold_prefix(instance.holding_cost[rfac])
         for t in range(T):

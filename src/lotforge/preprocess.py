@@ -39,7 +39,7 @@ def compute_removals(instance: Instance) -> RemovalSet:
     triples = set()
     for r in range(R):
         rfac = instance.retailer(r)
-        wfac = instance.warehouse(int(instance.retailer_warehouse[r]))
+        wfac = instance.parent[rfac]
         hr = np.concatenate(([0.0], np.cumsum(instance.holding_cost[rfac])))
         hw = np.concatenate(([0.0], np.cumsum(instance.holding_cost[wfac])))
         for k in range(T - 1):

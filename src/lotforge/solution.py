@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, cumulative_demand
+from .instance import Instance, cumulative_demand, facility_label
 
 BALANCE_TOL = 1e-6
 COST_REL_TOL = 1e-6
@@ -24,6 +24,11 @@ class Solution:
     y: np.ndarray  # (F, T) binary setups
     s: np.ndarray  # (F, T) end-of-period stock
     cost: float
+
+
+def _labels(instance: Instance) -> list[str]:
+    return [facility_label(b, i) for b, i in
+            zip(instance.level.tolist(), instance.ordinal.tolist())]
 
 
 def evaluate_cost(instance: Instance, solution: Solution) -> float:
@@ -44,29 +49,27 @@ def check_feasible(instance: Instance, solution: Solution,
     v = []
     x, y, s = solution.x, solution.y, solution.s
     cum = cumulative_demand(instance)
+    labels = _labels(instance)
 
     for name, arr in (("x", x), ("s", s)):
         for i, t in zip(*np.nonzero(arr < -tol)):
-            v.append(f"{name}[{instance.facility_id(i).label()}, t{t + 1}] negative")
+            v.append(f"{name}[{labels[i]}, t{t + 1}] negative")
     for i, t in zip(*np.nonzero(np.abs(y * (1.0 - y)) > tol)):
-        v.append(f"y[{instance.facility_id(i).label()}, t{t + 1}] not binary")
+        v.append(f"y[{labels[i]}, t{t + 1}] not binary")
 
-    for i in range(F):
-        children = instance.children(i)
-        lbl = instance.facility_id(i).label()
-        for t in range(T):
-            prev = s[i, t - 1] if t > 0 else 0.0
-            if instance.level(i) < 2:
-                out = sum(x[j, t] for j in children)
-            else:
-                out = instance.demand[i - 1 - instance.num_warehouses, t]
-            if abs(prev + x[i, t] - out - s[i, t]) > tol:
-                v.append(f"balance violated at {lbl}, t{t + 1}")
-            big_m = cum.tail(i, t)
-            if x[i, t] > big_m * y[i, t] + tol:
-                v.append(f"setup violated at {lbl}, t{t + 1}")
-            if x[i, t] > tol and y[i, t] < 1.0 - tol:
-                v.append(f"open shipment without setup at {lbl}, t{t + 1}")
+    # Outflow: a retailer's demand, else its children's inflows added in
+    # ascending facility order.
+    out = np.zeros((F, T))
+    np.add.at(out, instance.parent[1:], x[1:])
+    out[1 + instance.num_warehouses:] = instance.demand
+    prev = np.zeros((F, T))
+    prev[:, 1:] = s[:, :-1]
+    faults = np.stack([np.abs(prev + x - out - s) > tol,
+                       x > cum.table[:, :, -1] * y + tol,
+                       (x > tol) & (y < 1.0 - tol)], axis=2)
+    what = ("balance violated", "setup violated", "open shipment without setup")
+    for i, t, c in zip(*np.nonzero(faults)):
+        v.append(f"{what[c]} at {labels[i]}, t{t + 1}")
 
     recomputed = evaluate_cost(instance, solution)
     if abs(solution.cost - recomputed) > COST_REL_TOL * max(1.0, abs(recomputed)):
@@ -90,15 +93,13 @@ def from_routes(instance: Instance, routes: RouteAssignment) -> Solution:
             if not 0 <= k0 <= k1 <= k2 <= t:
                 raise ValueError(f"invalid route ordering {(k0, k1, k2)} for "
                                  f"retailer {r}, period {t + 1}")
-            plant = instance.plant
-            wh = instance.warehouse(int(instance.retailer_warehouse[r]))
+            # Each facility on the retailer's path holds the demand from
+            # its inbound period until the next level's.
             ret = instance.retailer(r)
-            x[plant, k0] += qty
-            x[wh, k1] += qty
-            x[ret, k2] += qty
-            s[plant, k0:k1] += qty
-            s[wh, k1:k2] += qty
-            s[ret, k2:t] += qty
+            for fac, k, k_next in zip((0, instance.parent[ret], ret),
+                                      (k0, k1, k2), (k1, k2, t)):
+                x[fac, k] += qty
+                s[fac, k:k_next] += qty
     y = (x > 0).astype(float)
     sol = Solution(x=x, y=y, s=s, cost=0.0)
     sol.cost = evaluate_cost(instance, sol)
@@ -108,8 +109,7 @@ def from_routes(instance: Instance, routes: RouteAssignment) -> Solution:
 def write_solution_csv(instance: Instance, solution: Solution) -> str:
     buf = io.StringIO()
     buf.write("facility,period,x,y,s\n")
-    for i in range(instance.num_facilities):
-        lbl = instance.facility_id(i).label()
+    for i, lbl in enumerate(_labels(instance)):
         for t in range(instance.num_periods):
             buf.write(f"{lbl},{t + 1},{float(solution.x[i, t])!r},"
                       f"{int(round(solution.y[i, t]))},{float(solution.s[i, t])!r}\n")

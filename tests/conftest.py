@@ -121,12 +121,10 @@ def lf3_point_from_routes(instance: Instance, routes: RouteAssignment) -> VarVal
             point[VarId("s3", 1, r, k)] += qty
         for k in range(k2, t):
             point[VarId("s3", 2, r, k)] += qty
-        y[0, k0] = 1.0
-        y[instance.warehouse(int(instance.retailer_warehouse[r])), k1] = 1.0
-        y[instance.retailer(r), k2] = 1.0
+        fac = instance.retailer(r)
+        y[(0, instance.parent[fac], fac), (k0, k1, k2)] = 1.0
     for fac in range(instance.num_facilities):
-        b = instance.level(fac)
-        idx = instance.facility_id(fac).index
+        b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
         for k in range(T):
             point[VarId("y", b, idx, k)] = float(y[fac, k])
     return point

@@ -225,7 +225,7 @@ def _frac_std(ins, rng):
     cum = cumulative_demand(ins)
     point = {}
     for fac in range(ins.num_facilities):
-        b, idx = ins.level(fac), ins.facility_id(fac).index
+        b, idx = int(ins.level[fac]), int(ins.ordinal[fac])
         for k in range(ins.num_periods):
             point[fm.VarId("y", b, idx, k)] = float(rng.random())
             point[fm.VarId("x", b, idx, k)] = float(rng.random() * cum.tail(fac, k))
@@ -236,7 +236,7 @@ def _frac_3lf(ins, rng):
     cum = cumulative_demand(ins)
     point = {}
     for fac in range(ins.num_facilities):
-        b, idx = ins.level(fac), ins.facility_id(fac).index
+        b, idx = int(ins.level[fac]), int(ins.ordinal[fac])
         for k in range(ins.num_periods):
             point[fm.VarId("y", b, idx, k)] = float(rng.random())
     for r in range(ins.num_retailers):
@@ -265,7 +265,7 @@ def test_separation_exactness():
                 total, mask = slots.segment(l, fac, 0, l)
                 _assert_brute_match(point, built, total, (mask,))
         for fac, succ in cm._two_level_pairs(ins):
-            lower = ins.level(succ[0])
+            lower = int(ins.level[succ[0]])
             for l in range(1, T):
                 for li in range(l):
                     built = {}
@@ -353,6 +353,12 @@ def _std_lp_relaxation(ins):
     return fm.MipModel(std.kind, decls, std.objective, std.constraints)
 
 
+def _served(ins, fac):
+    """Retailers whose path (plant, warehouse, retailer) passes through fac."""
+    return [r for r in range(ins.num_retailers)
+            if fac in (0, ins.parent[ins.retailer(r)], ins.retailer(r))]
+
+
 def _transfer_cuts(ins, cum, rng):
     """A random aggregated-space cut and the per-retailer cuts whose sum
     must equal it: one draw each of the single-, two- and three-level
@@ -363,10 +369,10 @@ def _transfer_cuts(ins, cum, rng):
     fac = int(rng.integers(0, ins.num_facilities))
     l = int(rng.integers(0, T))
     mask = int(rng.integers(0, 1 << (l + 1)))
-    b = ins.level(fac)
+    b = int(ins.level[fac])
     std_cut = cm.make_single_level_std_cut(ins, cum, fac, l, mask)
     parts = [cm.make_single_level_3lf_cut(ins, cum, r, b, l, mask)
-             for r in ins.descendants(fac)]
+             for r in _served(ins, fac)]
     out.append((std_cut, parts))
 
     pairs = cm._two_level_pairs(ins)
@@ -377,14 +383,14 @@ def _transfer_cuts(ins, cum, rng):
         upper = int(rng.integers(0, 1 << (li + 1)))
         succ_masks = tuple(int(rng.integers(0, 1 << (l + 1)))
                            & ~((1 << (li + 1)) - 1) for _ in succ)
-        lower = ins.level(succ[0])
+        lower = int(ins.level[succ[0]])
         std_cut = cm.make_two_level_std_cut(ins, cum, fac, lower, l, li,
                                             upper, succ_masks)
-        b = ins.level(fac)
+        b = int(ins.level[fac])
         parts = []
-        for r in ins.descendants(fac):
+        for r in _served(ins, fac):
             if lower == 1:
-                j = ins.warehouse(int(ins.retailer_warehouse[r]))
+                j = int(ins.parent[ins.retailer(r)])
             else:
                 j = ins.retailer(r)
             m2 = succ_masks[succ.index(j)]

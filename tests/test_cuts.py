@@ -25,7 +25,7 @@ def fixed_instance():
 def zeros_point(instance):
     point = {}
     for fac in range(instance.num_facilities):
-        b, idx = instance.level(fac), instance.facility_id(fac).index
+        b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
         for k in range(instance.num_periods):
             for fam in ("x", "s", "y"):
                 point[VarId(fam, b, idx, k)] = 0.0
@@ -36,7 +36,7 @@ def fractional_point_std(instance, rng):
     point = {}
     cum = cumulative_demand(instance)
     for fac in range(instance.num_facilities):
-        b, idx = instance.level(fac), instance.facility_id(fac).index
+        b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
         for k in range(instance.num_periods):
             point[VarId("y", b, idx, k)] = float(rng.random())
             point[VarId("x", b, idx, k)] = float(rng.random() * cum.tail(fac, k))
@@ -48,7 +48,7 @@ def fractional_point_3lf(instance, rng):
     point = {}
     cum = cumulative_demand(instance)
     for fac in range(instance.num_facilities):
-        b, idx = instance.level(fac), instance.facility_id(fac).index
+        b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
         for k in range(instance.num_periods):
             point[VarId("y", b, idx, k)] = float(rng.random())
     for r in range(instance.num_retailers):
@@ -225,7 +225,7 @@ def test_two_level_std_brute_force():
     point = fractional_point_std(ins, rng)
     slots = cm._Slots(cm._std_chains(ins, cum), point)
     for fac, succ in cm._two_level_pairs(ins):
-        lower = ins.level(succ[0])
+        lower = int(ins.level[succ[0]])
         for l in range(1, 4):
             for li in range(l):
                 built = {}
@@ -354,7 +354,7 @@ def test_masks_above_bit_62():
     cum = cumulative_demand(ins)
     point = zeros_point(ins)
     for fac in range(ins.num_facilities):
-        b, idx = ins.level(fac), ins.facility_id(fac).index
+        b, idx = int(ins.level[fac]), int(ins.ordinal[fac])
         for k in range(T):
             point[VarId("y", b, idx, k)] = 0.1
             point[VarId("x", b, idx, k)] = 5.0 if k % 2 == 0 else 0.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import (TEXT_EDITS, apply_edits, convex_combination,
                       lf3_point_from_routes, random_routes, tiny_instance)
 from lotforge import formulations as fm
-from lotforge.instance import Instance, cumulative_demand
+from lotforge import heuristic, preprocess
+from lotforge.instance import (Instance, InstanceSpec, NetworkShape,
+                               cumulative_demand, generate)
 from lotforge.oracle import OracleConfig, solve_exact
-from lotforge.solution import from_routes
+from lotforge.solution import from_routes, write_solution_csv
 
 
 def small_instance():
@@ -92,10 +96,10 @@ def test_routes_satisfy_mc_rows():
                 point[fm.VarId("sig", 1, r, k, t)] = d
             for k in range(k2, t):
                 point[fm.VarId("sig", 2, r, k, t)] = d
-            y[0, k0] = y[ins.warehouse(int(ins.retailer_warehouse[r])), k1] = 1.0
-            y[ins.retailer(r), k2] = 1.0
+            fac = ins.retailer(r)
+            y[(0, ins.parent[fac], fac), (k0, k1, k2)] = 1.0
         for fac in range(ins.num_facilities):
-            b, idx = ins.level(fac), ins.facility_id(fac).index
+            b, idx = int(ins.level[fac]), int(ins.ordinal[fac])
             for k in range(ins.num_periods):
                 point[fm.VarId("y", b, idx, k)] = float(y[fac, k])
         assert fm.evaluate_point(model, point) == []
@@ -268,3 +272,31 @@ def test_mip_start_export():
     point = {fm.VarId("y", 0, 0, 0): 1.0, fm.VarId("x", 0, 0, 0): 12.5}
     text = fm.export_mip_start(point)
     assert text == "y_p_t1 1.0\nx_p_t1 12.5\n"
+
+
+# SHA-256 of the byte-stable outputs on a 12/3/6 unbalanced instance
+# (seed 0, retailers 0-8 at warehouse 0), captured before the network
+# arrays replaced the per-module facility key helpers.
+GOLDEN_SHA256 = {
+    "std_lp": "c2a2b5a3c77930699800e34f4a41272e881a3826d7c3015bce71be4ade76eb85",
+    "3lf_lp": "82e8b9979c209d9f3c31b5bd8578797352b728d4889815cff34823977a808c9f",
+    "mc_lp": "01ab785e5c80ac8f63cc73f9c766d199e58ce6f3a5335652a20a4dfc536a7c67",
+    "removal_csv": "50b5367a34b9490691cdf908837b977b75c5ee8496913afb3f93fe784a1680ab",
+    "solution_csv": "fe5bf3bbcc4646bfdb1ba8763c376e8008e7e6bad52fa8cddb7f6771f2e54deb",
+}
+
+
+def test_golden_outputs_byte_stable():
+    ins = generate(InstanceSpec(12, 3, 6, network_shape=NetworkShape.UNBALANCED,
+                                seed=0))
+    removals = preprocess.compute_removals(ins)
+    best = heuristic.run(ins, heuristic.HeuristicConfig(iterations=20, seed=0)).best
+    texts = {
+        "std_lp": fm.export_lp(fm.build_std(ins)),
+        "3lf_lp": fm.export_lp(fm.build_3lf(ins)),
+        "mc_lp": fm.export_lp(preprocess.apply_removals(fm.build_mc(ins), removals)),
+        "removal_csv": preprocess.removal_report_csv(removals),
+        "solution_csv": write_solution_csv(ins, best),
+    }
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+    assert digests == GOLDEN_SHA256

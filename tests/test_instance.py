@@ -9,8 +9,8 @@ from conftest import TEXT_EDITS, apply_edits
 from lotforge import instance as inst
 from lotforge.instance import (DemandType, FixedCostType, Instance,
                                InstanceSpec, NetworkShape, ParseError,
-                               cumulative_demand, generate, read_instance,
-                               validate, write_instance)
+                               cumulative_demand, facility_label, generate,
+                               read_instance, validate, write_instance)
 
 
 def spec(R, W, T, d="D", f="D", shape="balanced", seed=0):
@@ -27,30 +27,63 @@ def test_group_name():
 def test_flat_indexing_roundtrip():
     ins = generate(spec(4, 2, 3))
     assert ins.plant == 0
-    assert ins.level(0) == 0
+    assert ins.level[0] == 0
     for w in range(2):
         fac = ins.warehouse(w)
-        assert ins.level(fac) == 1
-        assert ins.facility_id(fac).index == w
+        assert ins.level[fac] == 1
+        assert ins.ordinal[fac] == w
     for r in range(4):
         fac = ins.retailer(r)
-        assert ins.level(fac) == 2
-        assert ins.facility_id(fac).index == r
-    assert ins.facility_id(0).label() == "p"
-    assert ins.facility_id(ins.warehouse(1)).label() == "w1"
-    assert ins.facility_id(ins.retailer(3)).label() == "r3"
+        assert ins.level[fac] == 2
+        assert ins.ordinal[fac] == r
+    assert facility_label(ins.level[0], ins.ordinal[0]) == "p"
+    fac = ins.warehouse(1)
+    assert facility_label(ins.level[fac], ins.ordinal[fac]) == "w1"
+    fac = ins.retailer(3)
+    assert facility_label(ins.level[fac], ins.ordinal[fac]) == "r3"
 
 
 def test_children_and_descendants():
     ins = generate(spec(4, 2, 3))
-    assert ins.children(0) == [ins.warehouse(0), ins.warehouse(1)]
+    assert ins.parent[0] == -1
+    assert [f for f in range(ins.num_facilities) if ins.parent[f] == 0] \
+        == [ins.warehouse(0), ins.warehouse(1)]
     for w in range(2):
-        kids = ins.children(ins.warehouse(w))
+        kids = [f for f in range(ins.num_facilities) if ins.parent[f] == ins.warehouse(w)]
         assert kids == [ins.retailer(r) for r in ins.retailers_of(w)]
-    assert sorted(ins.descendants(0)) == [0, 1, 2, 3]
+    assert sorted(r for w in range(2) for r in ins.retailers_of(w)) == [0, 1, 2, 3]
     for r in range(4):
-        assert ins.descendants(ins.retailer(r)) == [r]
-        assert ins.children(ins.retailer(r)) == []
+        assert ins.retailer(r) not in ins.parent
+
+
+@given(R=st.integers(1, 25), W=st.integers(1, 6), T=st.integers(1, 5),
+       shape=st.sampled_from(["balanced", "unbalanced"]),
+       seed=st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_network_arrays_match_naive_scan(R, W, T, shape, seed):
+    W = min(W, R)
+    ins = generate(spec(R, W, T, shape=shape, seed=seed))
+    rw = ins.retailer_warehouse.tolist()
+    assert ins.level.tolist() == [0] + [1] * W + [2] * R
+    assert ins.ordinal.tolist() == [0] + list(range(W)) + list(range(R))
+    assert ins.parent.tolist() == [-1] + [0] * W + [1 + w for w in rw]
+    for w in range(W):
+        assert ins.retailers_of(w) == [r for r in range(R) if rw[r] == w]
+    for arr in (ins.level, ins.ordinal, ins.parent):
+        assert arr.shape == (1 + W + R,) and not arr.flags.writeable
+    # Sequential sums in ascending retailer order, bit for bit.
+    expected = np.zeros((1 + W + R, T))
+    for t in range(T):
+        expected[0, t] = sum(int(ins.demand[r, t]) for r in range(R))
+        for w in range(W):
+            total = 0.0
+            for r in range(R):
+                if rw[r] == w:
+                    total += float(ins.demand[r, t])
+            expected[1 + w, t] = total
+        for r in range(R):
+            expected[1 + W + r, t] = float(ins.demand[r, t])
+    assert ins.facility_demand().tobytes() == expected.tobytes()
 
 
 def test_cumulative_demand_table():
