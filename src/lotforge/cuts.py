@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .formulations import Constraint, MipModel, VarId, VarValueMap, facility_keys
-from .instance import Instance, cumulative_demand
+from .formulations import Constraint, MipModel, VarId, VarValueMap
+from .instance import Instance, cumulative_demand, facility_keys
 
 DEFAULT_VIOLATION_TOL = 10.0
 DEFAULT_MAX_ROUNDS = 20

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import Instance, cumulative_demand, facility_label
+from .instance import Instance, cumulative_demand, facility_keys, facility_label
 
 INF = math.inf
 
@@ -104,11 +104,6 @@ class MipModel:
             for var in con.coefs:
                 if var not in declared:
                     raise ValueError(f"row {con.name} references undeclared {var.name()}")
-
-
-def facility_keys(instance: Instance) -> list[tuple[int, int]]:
-    """(level, ordinal) of every facility, the b and idx of its variables."""
-    return list(zip(instance.level.tolist(), instance.ordinal.tolist()))
 
 
 def _y_vars(instance: Instance) -> list[VarDecl]:

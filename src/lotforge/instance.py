@@ -7,7 +7,7 @@ and Instance owns it: every facility has a flat index (0 = plant,
 1..W = warehouses, 1+W.. = retailers), and the read-only arrays level,
 ordinal (index within its level) and parent (-1 for the plant) describe
 it. Code addresses facilities by flat index only; (level, ordinal)
-appears only in names, through facility_label. Periods are 0-based
+appears only in names (facility_keys, facility_label). Periods are 0-based
 internally and 1-based in file formats and variable names.
 """
 
@@ -145,6 +145,12 @@ class Instance:
         np.add.at(out, self.parent[retailers], self.demand)
         out[0] = self.demand.sum(axis=0)
         return out
+
+
+def facility_keys(instance: Instance) -> list[tuple[int, int]]:
+    """(level, ordinal) of every facility in index order: the pair that
+    names it (facility_label) and its variables (VarId b and idx)."""
+    return list(zip(instance.level.tolist(), instance.ordinal.tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, cumulative_demand, facility_label
+from .instance import Instance, cumulative_demand, facility_keys, facility_label
 
 BALANCE_TOL = 1e-6
 COST_REL_TOL = 1e-6
@@ -27,8 +27,7 @@ class Solution:
 
 
 def _labels(instance: Instance) -> list[str]:
-    return [facility_label(b, i) for b, i in
-            zip(instance.level.tolist(), instance.ordinal.tolist())]
+    return [facility_label(b, i) for b, i in facility_keys(instance)]
 
 
 def evaluate_cost(instance: Instance, solution: Solution) -> float:
