@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -147,7 +148,8 @@ def make_command_lp_source(template: str, relax: bool = True):
     {relax}, which becomes --relax when relax is true and nothing
     otherwise. The command is expected to read the LP file and write
     '<name> <value>' lines (an 'objective <value>' line is skipped if
-    present)."""
+    present). When it fails, one line with its exit code and the last
+    line of its stderr goes to stderr."""
 
     def source(model: fm.MipModel):
         with tempfile.TemporaryDirectory(prefix="lotforge_") as tmp:
@@ -158,6 +160,8 @@ def make_command_lp_source(template: str, relax: bool = True):
                                   relax="--relax" if relax else "")
             proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
             if proc.returncode != 0 or not os.path.exists(sol_path):
+                last = proc.stderr.strip().rpartition("\n")[2]
+                print(f"lp solver failed (exit {proc.returncode}): {last}", file=sys.stderr)
                 return None
             return read_point_file(Path(sol_path).read_text())
 
@@ -176,9 +180,13 @@ def read_point_file(text: str) -> fm.VarValueMap:
         if name == "objective":
             continue
         try:
-            point[fm.parse_var_name(name)] = float(value)
+            val = float(value)
+            var = fm.parse_var_name(name)
         except ValueError as exc:
             raise fm.LpParseError(f"point line {no}: {exc}") from None
+        if not math.isfinite(val):
+            raise fm.LpParseError(f"point line {no}: value {value!r} is not finite")
+        point[var] = val
     return point
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -33,17 +35,18 @@ class VarId(NamedTuple):
     t: int = -1
 
     def name(self) -> str:
-        if self.family in ("x", "s", "y"):
-            return f"{self.family}_{facility_label(self.b, self.idx)}_t{self.k + 1}"
-        if self.family == "w":
-            return f"w{self.b}_r{self.idx}_k{self.k + 1}_t{self.t + 1}"
-        if self.family == "sig":
-            return f"sig{self.b}_r{self.idx}_k{self.k + 1}_t{self.t + 1}"
-        if self.family == "x3":
-            return f"x{self.b}_r{self.idx}_t{self.k + 1}"
-        if self.family == "s3":
-            return f"s{self.b}_r{self.idx}_t{self.k + 1}"
-        raise ValueError(f"unknown family {self.family!r}")
+        family, b, idx, k, t = self
+        if family in ("x", "s", "y"):
+            return f"{family}_{facility_label(b, idx)}_t{k + 1}"
+        if family == "w":
+            return f"w{b}_r{idx}_k{k + 1}_t{t + 1}"
+        if family == "sig":
+            return f"sig{b}_r{idx}_k{k + 1}_t{t + 1}"
+        if family == "x3":
+            return f"x{b}_r{idx}_t{k + 1}"
+        if family == "s3":
+            return f"s{b}_r{idx}_t{k + 1}"
+        raise ValueError(f"unknown family {family!r}")
 
 
 _STD_RE = re.compile(r"^([xsy])_(p|w(\d+)|r(\d+))_t(\d+)$")
@@ -322,87 +325,165 @@ def evaluate_point(model: MipModel, point: VarValueMap,
 # --------------------------------------------------------------------------
 # LP-format text
 
-def _format_terms(coefs: dict[VarId, float], order: dict[VarId, int]) -> str:
-    parts = []
-    for var in sorted(coefs, key=lambda v: order.get(v, 1 << 30)):
-        coef = coefs[var]
-        if coef == 0.0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {abs(float(coef))!r} {var.name()}")
-    return " ".join(parts)
+# Undeclared variables sort after every declared one, in insertion order.
+_UNDECLARED = 1 << 30
+_WRITTEN_SENSES = {"=": "=", "<=": "<=", ">=": ">="}
 
 
 def export_lp(model: MipModel) -> str:
-    order = {d.var: i for i, d in enumerate(model.variables)}
-    out = [f"\\ kind: {model.kind}", "Minimize",
-           f" obj: {_format_terms(model.objective, order)}",
+    """LP text of a model: every variable's name is built once, and the
+    "± |c| " text once per distinct coefficient. Terms appear in declaration
+    order (undeclared variables last, in insertion order); zero
+    coefficients are left out."""
+    # A variable declared twice sorts at its last declaration.
+    position = {var: i for i, (var, _, _, _) in enumerate(model.variables)}
+    names = [var.name() for var, _, _, _ in model.variables]
+    signed: dict[float, str] = {}
+
+    def terms(coefs) -> str:
+        row = []
+        for var, coef in coefs.items():
+            if coef == 0.0:
+                continue
+            text = signed.get(coef)
+            if text is None:
+                text = signed[coef] = f"{'-' if coef < 0 else '+'} {abs(float(coef))!r} "
+            i = position.get(var)
+            if i is None:
+                row.append((_UNDECLARED + len(row), text + var.name()))
+            else:
+                row.append((i, text + names[i]))
+        row.sort()  # the positions differ, so no two terms compare by text
+        return " ".join(map(itemgetter(1), row))
+
+    out = [f"\\ kind: {model.kind}", "Minimize", f" obj: {terms(model.objective)}",
            "Subject To"]
-    for con in model.constraints:
-        sense = {"=": "=", "<=": "<=", ">=": ">="}[con.sense]
-        out.append(f" {con.name}: {_format_terms(con.coefs, order)} {sense} {float(con.rhs)!r}")
+    for name, coefs, sense, rhs in model.constraints:
+        out.append(f" {name}: {terms(coefs)} {_WRITTEN_SENSES[sense]} {float(rhs)!r}")
     out.append("Bounds")
-    for decl in model.variables:
-        if decl.binary:
+    for (_, lb, ub, binary), name in zip(model.variables, names):
+        if binary or (lb == 0.0 and ub == INF):
             continue
-        if decl.lb == 0.0 and decl.ub == INF:
-            continue
-        if decl.lb == decl.ub:
-            out.append(f" {decl.var.name()} = {float(decl.lb)!r}")
-        elif decl.ub == INF:
-            out.append(f" {decl.var.name()} >= {float(decl.lb)!r}")
+        if lb == ub:
+            out.append(f" {name} = {float(lb)!r}")
+        elif ub == INF:
+            out.append(f" {name} >= {float(lb)!r}")
         else:
-            out.append(f" {float(decl.lb)!r} <= {decl.var.name()} <= {float(decl.ub)!r}")
+            out.append(f" {float(lb)!r} <= {name} <= {float(ub)!r}")
     out.append("Binaries")
-    for decl in model.variables:
-        if decl.binary:
-            out.append(f" {decl.var.name()}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+    out.extend(f" {name}" for (_, _, _, binary), name in zip(model.variables, names)
+               if binary)
+    out += ["End", ""]  # the empty last line ends the text with "\n" without a copy
+    return "\n".join(out)
 
 
 class LpParseError(ValueError):
     pass
 
 
-_SECTION_RE = re.compile(
-    r"^(minimize|maximize|subject to|st|s\.t\.|bounds|binaries|binary|generals|end)\s*$",
-    re.IGNORECASE)
+_SECTIONS = {"minimize": "minimize", "maximize": "maximize",
+             "subject to": "subject to", "st": "subject to", "s.t.": "subject to",
+             "bounds": "bounds", "binaries": "binaries", "binary": "binaries",
+             "generals": "generals", "end": "end"}
+# A header spelled with the long s or a dotless or dotted capital i, which
+# case-insensitive matching equates with s and i, opens an ignored section.
+_FOLD = str.maketrans({"\u017f": "s", "\u0131": "i", "\u0130": "i"})
+_SENSES = {"<=": "<=", ">=": ">=", "=": "=", "<": "<=", ">": ">="}
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|inf)$")
+_PLUS, _MINUS = object(), object()
 
 
-def _parse_expr(tokens: list[str], where: str) -> dict[VarId, float]:
+def _token_entry(tok: str):
+    """What an expression token is: a finite number, a variable, or the
+    message of the error it raises."""
+    if _NUM_RE.match(tok):
+        value = float(tok)
+        return value if math.isfinite(value) else f"coefficient {tok!r} is not finite"
+    try:
+        return parse_var_name(tok)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _parse_expr(tokens: list[str], where: str, table: dict) -> dict[VarId, float]:
     coefs: dict[VarId, float] = {}
     sign = 1.0
     coef = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
+    terms = 0
+    for tok in tokens:
+        entry = table.get(tok)
+        if entry is None:
+            entry = table[tok] = _token_entry(tok)
+        kind = entry.__class__
+        if kind is VarId:
+            value = sign if coef is None else sign * coef
+            coefs[entry] = coefs.get(entry, 0.0) + value
             sign, coef = 1.0, None
-        elif tok == "-":
-            sign, coef = -1.0, None
-        elif _NUM_RE.match(tok):
+            terms += 1
+        elif kind is float:
             if coef is not None:
                 raise LpParseError(f"{where}: dangling number {tok!r}")
-            coef = float(tok)
-        else:
-            try:
-                var = parse_var_name(tok)
-            except ValueError as exc:
-                raise LpParseError(f"{where}: {exc}") from None
-            value = sign * (coef if coef is not None else 1.0)
-            coefs[var] = coefs.get(var, 0.0) + value
+            coef = entry
+        elif entry is _PLUS:
             sign, coef = 1.0, None
-        i += 1
+        elif entry is _MINUS:
+            sign, coef = -1.0, None
+        else:
+            raise LpParseError(f"{where}: {entry}")
     if coef is not None:
         raise LpParseError(f"{where}: trailing coefficient without variable")
+    # Finite terms of one variable can still add up beyond the float range.
+    if terms > len(coefs) and not all(map(math.isfinite, coefs.values())):
+        raise LpParseError(f"{where}: a coefficient sum is not finite")
     return coefs
+
+
+def _labeled(lines: list[str]):
+    """(label, tokens) of each labelled expression, in order. A label is a
+    token ending in ':' or followed by a ':' token, anywhere in a line; the
+    tokens up to the next label, over any number of lines, are its own."""
+    label = tokens = None
+    for line in lines:
+        words = line.split()
+        if line.count(":") == 1 and words[0][-1] == ":":  # ' name: expr'
+            if tokens is not None:
+                yield label, tokens
+            label, tokens = words[0][:-1], words
+            del tokens[0]
+            continue
+        j = 0
+        while j < len(words):
+            word = words[j]
+            if word.endswith(":") or (j + 1 < len(words) and words[j + 1] == ":"):
+                if tokens is not None:
+                    yield label, tokens
+                if word.endswith(":"):
+                    label = word[:-1]
+                else:
+                    label = word
+                    j += 1
+                tokens = []
+            elif tokens is None:
+                raise LpParseError(f"expression before label in {line!r}")
+            else:
+                tokens.append(word)
+            j += 1
+    if tokens is not None:
+        yield label, tokens
+
+
+def _bound(tok: str) -> float:
+    value = float(tok)
+    if value != value:
+        raise ValueError(f"bound {tok!r} is not a number")
+    return value
 
 
 def parse_lp(text: str) -> MipModel:
     """Parse LP text produced by export_lp back into a model; malformed
-    text raises LpParseError."""
+    text, or a coefficient, right-hand side or bound that is not a number
+    (bounds may be infinite, coefficients and right-hand sides may not be
+    NaN, coefficients may not be infinite), raises LpParseError."""
     kind = "UNKNOWN"
     sections: dict[str, list[str]] = {}
     current = None
@@ -415,13 +496,12 @@ def parse_lp(text: str) -> MipModel:
             continue
         if not line:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            name = m.group(1).lower()
-            if name in ("st", "s.t."):
-                name = "subject to"
-            if name == "binary":
-                name = "binaries"
+        key = line.lower()
+        name = _SECTIONS.get(key)
+        if name is None and not line.isascii() \
+                and line.translate(_FOLD).lower() in _SECTIONS:
+            name = key
+        if name is not None:
             current = name
             sections.setdefault(current, [])
             continue
@@ -432,42 +512,37 @@ def parse_lp(text: str) -> MipModel:
     if "minimize" not in sections:
         raise LpParseError("missing Minimize section")
 
-    def split_labeled(lines: list[str]) -> list[tuple[str, list[str]]]:
-        items: list[tuple[str, list[str]]] = []
-        for line in lines:
-            tokens = line.split()
-            j = 0
-            while j < len(tokens):
-                tok = tokens[j]
-                if tok.endswith(":"):
-                    items.append((tok[:-1], []))
-                elif j + 1 < len(tokens) and tokens[j + 1] == ":":
-                    items.append((tok, []))
-                    j += 1
-                else:
-                    if not items:
-                        raise LpParseError(f"expression before label in {line!r}")
-                    items[-1][1].append(tok)
-                j += 1
-        return items
+    # One entry per distinct token of the file, shared by every expression,
+    # bound and binary that uses it.
+    table: dict[str, object] = {"+": _PLUS, "-": _MINUS}
 
-    obj_items = split_labeled(sections["minimize"])
+    def variable(tok: str) -> VarId:
+        entry = table.get(tok)
+        if entry is None:
+            entry = table[tok] = _token_entry(tok)
+        if entry.__class__ is not VarId:
+            raise ValueError(f"unparseable variable name {tok!r}")
+        return entry
+
+    obj_items = list(_labeled(sections["minimize"]))
     if len(obj_items) != 1:
         raise LpParseError("objective must carry exactly one label")
-    objective = _parse_expr(obj_items[0][1], "objective")
+    objective = _parse_expr(obj_items[0][1], "objective", table)
 
     constraints: list[Constraint] = []
-    for name, tokens in split_labeled(sections.get("subject to", [])):
-        sense_pos = next((i for i, t in enumerate(tokens) if t in ("<=", ">=", "=", "<", ">")),
-                         None)
-        if sense_pos is None or sense_pos != len(tokens) - 2:
+    for name, tokens in _labeled(sections.get("subject to", [])):
+        sense = _SENSES.get(tokens[-2]) if len(tokens) >= 2 else None
+        rhs_text = tokens[-1] if tokens else ""
+        del tokens[-2:]
+        if sense is None or not _SENSES.keys().isdisjoint(tokens):
             raise LpParseError(f"row {name}: expected '<expr> <sense> <rhs>'")
-        sense = {"<": "<=", ">": ">="}.get(tokens[sense_pos], tokens[sense_pos])
         try:
-            rhs = float(tokens[-1])
+            rhs = float(rhs_text)
         except ValueError:
-            raise LpParseError(f"row {name}: bad right-hand side {tokens[-1]!r}") from None
-        coefs = _parse_expr(tokens[:sense_pos], f"row {name}")
+            raise LpParseError(f"row {name}: bad right-hand side {rhs_text!r}") from None
+        if rhs != rhs:
+            raise LpParseError(f"row {name}: right-hand side {rhs_text!r} is not a number")
+        coefs = _parse_expr(tokens, f"row {name}", table)
         constraints.append(Constraint(name, coefs, sense, rhs))
 
     lbs: dict[VarId, float] = {}
@@ -476,20 +551,20 @@ def parse_lp(text: str) -> MipModel:
         tokens = line.split()
         try:
             if len(tokens) == 3 and tokens[1] == "=":
-                var = parse_var_name(tokens[0])
-                lbs[var] = ubs[var] = float(tokens[2])
+                var = variable(tokens[0])
+                lbs[var] = ubs[var] = _bound(tokens[2])
             elif len(tokens) == 3 and tokens[1] == ">=":
-                var = parse_var_name(tokens[0])
-                lbs[var] = float(tokens[2])
+                var = variable(tokens[0])
+                lbs[var] = _bound(tokens[2])
             elif len(tokens) == 3 and tokens[1] == "<=":
-                var = parse_var_name(tokens[0])
-                ubs[var] = float(tokens[2])
+                var = variable(tokens[0])
+                ubs[var] = _bound(tokens[2])
             elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                var = parse_var_name(tokens[2])
-                lbs[var] = float(tokens[0])
-                ubs[var] = float(tokens[4])
+                var = variable(tokens[2])
+                lbs[var] = _bound(tokens[0])
+                ubs[var] = _bound(tokens[4])
             elif len(tokens) == 2 and tokens[1].lower() == "free":
-                var = parse_var_name(tokens[0])
+                var = variable(tokens[0])
                 lbs[var] = -INF
             else:
                 raise LpParseError(f"unrecognized bound line {line!r}")
@@ -500,25 +575,15 @@ def parse_lp(text: str) -> MipModel:
     for line in sections.get("binaries", []):
         for tok in line.split():
             try:
-                binaries.add(parse_var_name(tok))
+                binaries.add(variable(tok))
             except ValueError as exc:
                 raise LpParseError(f"Binaries: {exc}") from None
 
-    seen: dict[VarId, None] = {}
-    for var in objective:
-        seen.setdefault(var)
-    for con in constraints:
-        for var in con.coefs:
-            seen.setdefault(var)
-    for var in list(lbs) + list(ubs) + list(binaries):
-        seen.setdefault(var)
-
-    decls = []
-    for var in seen:
-        if var in binaries:
-            decls.append(VarDecl(var, 0.0, 1.0, True))
-        else:
-            decls.append(VarDecl(var, lbs.get(var, 0.0), ubs.get(var, INF), False))
+    seen = dict.fromkeys(chain(objective, *[con.coefs for con in constraints],
+                               lbs, ubs, binaries))
+    decls = [VarDecl(var, 0.0, 1.0, True) if var in binaries
+             else VarDecl(var, lbs.get(var, 0.0), ubs.get(var, INF), False)
+             for var in seen]
     return MipModel(kind, decls, objective, constraints)
 
 

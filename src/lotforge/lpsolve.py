@@ -18,11 +18,30 @@ import sys
 from .formulations import LpParseError, parse_lp
 
 
+def constraint_matrix(model, index):
+    """CSR matrix of the model's rows over the columns in index, in
+    canonical form (sorted column indices, no duplicates) and without
+    explicit zeros."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    constraints = model.constraints
+    cols = np.array([index[var] for con in constraints for var in con.coefs],
+                    dtype=np.intp)
+    vals = np.array([coef for con in constraints for coef in con.coefs.values()],
+                    dtype=float)
+    rows = np.repeat(np.arange(len(constraints)), [len(con.coefs) for con in constraints])
+    keep = vals != 0
+    A = csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                   shape=(len(constraints), len(model.variables)))
+    A.sum_duplicates()
+    return A
+
+
 def solve_model(model, relax: bool = False):
     """Solve a MipModel; returns (objective, {VarId: value}) or None."""
     import numpy as np
     from scipy.optimize import LinearConstraint, Bounds, milp
-    from scipy.sparse import lil_matrix
 
     variables = model.variables
     index = {d.var: i for i, d in enumerate(variables)}
@@ -32,12 +51,9 @@ def solve_model(model, relax: bool = False):
         c[index[var]] = coef
 
     m = len(model.constraints)
-    A = lil_matrix((m, n))
     lo = np.full(m, -np.inf)
     hi = np.full(m, np.inf)
     for i, con in enumerate(model.constraints):
-        for var, coef in con.coefs.items():
-            A[i, index[var]] = coef
         if con.sense in ("=", ">="):
             lo[i] = con.rhs
         if con.sense in ("=", "<="):
@@ -50,7 +66,7 @@ def solve_model(model, relax: bool = False):
 
     kwargs = {"bounds": Bounds(lb, ub), "integrality": integrality}
     if m:
-        kwargs["constraints"] = LinearConstraint(A.tocsr(), lo, hi)
+        kwargs["constraints"] = LinearConstraint(constraint_matrix(model, index), lo, hi)
     res = milp(c, **kwargs)
     if not res.success:
         return None

@@ -8,13 +8,15 @@ independently computed optima can be compared with ==.
 from __future__ import annotations
 
 import importlib.util
+import math
 import shutil
 import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
-from lotforge.formulations import VarId, VarValueMap
+from lotforge import cuts
+from lotforge.formulations import MipModel, VarId, VarValueMap
 from lotforge.instance import Instance
 from lotforge.solution import RouteAssignment
 
@@ -137,3 +139,15 @@ def convex_combination(points: list[VarValueMap],
         keys.update(p)
     return {k: float(sum(w * p.get(k, 0.0) for w, p in zip(weights, points)))
             for k in keys}
+
+
+def one_cut_round(instance: Instance, model: MipModel, seed: int = 0) -> MipModel:
+    """The model with the cuts of one round of all six families appended,
+    separated at a fractional point drawn once from the seed and replayed:
+    each variable uniform in [0, ub], or in [0, 10] when ub is infinite."""
+    rng = np.random.default_rng(seed)
+    point = {d.var: float(rng.random() * (d.ub if d.ub != math.inf else 10.0))
+             for d in model.variables}
+    config = cuts.CutConfig(max_rounds=1, two_level_every=1, three_level_every=1)
+    result = cuts.cutting_plane_loop(instance, model, lambda _model: point, config)
+    return cuts.add_cuts_to_model(model, result.cuts)

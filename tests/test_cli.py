@@ -1,13 +1,16 @@
 import shlex
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import LP_SOLVE_CMD
+from conftest import LP_SOLVE_CMD, one_cut_round
 from lotforge import cli, lpsolve
+from lotforge import formulations as fm
 from lotforge.formulations import parse_lp
 from lotforge.heuristic import HeuristicConfig, run
-from lotforge.instance import facility_label, read_instance
+from lotforge.instance import (InstanceSpec, NetworkShape, facility_label,
+                               generate, read_instance)
 from lotforge.oracle import OracleConfig, solve_exact
 
 HAS_SOLVER = LP_SOLVE_CMD is not None
@@ -88,7 +91,11 @@ def test_bad_option_value_exit_code(tmp_path, capsys, argv):
     b"\xff\xfe not utf-8",
     b"Minimize\n obj: y_p_t1\nSubject To\n c1: x_p_t1 >= 1x\nEnd\n",
     b"Minimize\n obj: y_p_t1\nBinaries\n y_r1\nEnd\n",
-], ids=["missing", "not-utf8", "bad-rhs", "bad-binary-name"])
+    b"Minimize\n obj: + inf x_p_t1\nEnd\n",
+    b"Minimize\n obj: x_p_t1\nSubject To\n c1: x_p_t1 >= nan\nEnd\n",
+    b"Minimize\n obj: x_p_t1\nBounds\n x_p_t1 <= nan\nEnd\n",
+], ids=["missing", "not-utf8", "bad-rhs", "bad-binary-name", "inf-coefficient",
+        "nan-rhs", "nan-bound"])
 def test_lp_solve_unreadable_file_exit_code(tmp_path, capsys, text):
     lp = tmp_path / "model.lp"
     if text is not None:
@@ -103,6 +110,43 @@ def test_lp_solve_unwritable_output_exit_code(tmp_path, capsys):
     lp.write_text("Minimize\n obj: y_p_t1\nBinaries\n y_p_t1\nEnd\n")
     assert lpsolve.main([str(lp), str(tmp_path / "no-dir" / "model.sol")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["std", "3lf-cuts", "mc"])
+def test_constraint_matrix_matches_lil_matrix(kind):
+    sparse = pytest.importorskip("scipy.sparse")
+    ins = generate(InstanceSpec(6, 2, 4, network_shape=NetworkShape.UNBALANCED,
+                                seed=1))
+    model = {"std": fm.build_std, "3lf-cuts": fm.build_3lf, "mc": fm.build_mc}[kind](ins)
+    if kind == "3lf-cuts":
+        model = one_cut_round(ins, model)
+        assert len(model.constraints) > len(fm.build_3lf(ins).constraints)
+    v = [d.var for d in model.variables]
+    model.constraints.append(fm.Constraint(
+        "mixed", {v[3]: 0.0, v[0]: -0.0, v[2]: 3, v[1]: np.float64(-1.5)}, "<=", 1.0))
+    index = {var: i for i, var in enumerate(v)}
+    lil = sparse.lil_matrix((len(model.constraints), len(v)))
+    for i, con in enumerate(model.constraints):
+        for var, coef in con.coefs.items():
+            lil[i, index[var]] = coef
+    expected = lil.tocsr()
+    got = lpsolve.constraint_matrix(model, index)
+    assert got.shape == expected.shape and got.has_canonical_format
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
+
+
+def test_command_lp_source_reports_failure(tmp_path, capsys):
+    path = gen_file(tmp_path)
+    failing = shlex.join([sys.executable, "-c", "import sys; "
+                          "sys.stderr.write('reading model\\nsolver gave up\\n'); "
+                          "sys.exit(3)"])
+    rc = cli.main(["export", str(path), "-o", str(tmp_path / "c.lp"), "--cuts",
+                   "--lp-solver-cmd", failing + " {lp} {sol}"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == "cuts,0\nrounds,0\nstatus,lp_unavailable\n"
+    assert captured.err == "lp solver failed (exit 3): solver gave up\n"
 
 
 def test_size_guard_exit_code(tmp_path):
@@ -278,7 +322,8 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["y_p_t1", "y_p_t1 0.0 extra",
-                                  "y_p_t1 zero", "bogus%name 1.0"])
+                                  "y_p_t1 zero", "bogus%name 1.0",
+                                  "y_p_t1 nan", "y_p_t1 inf", "x_p_t2 -inf"])
 def test_malformed_point_file_exit_code(tmp_path, capsys, line):
     path = gen_file(tmp_path)
     point = tmp_path / "bad.point"

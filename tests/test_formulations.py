@@ -1,12 +1,15 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_reference
 from conftest import (TEXT_EDITS, apply_edits, convex_combination,
-                      lf3_point_from_routes, random_routes, tiny_instance)
+                      lf3_point_from_routes, one_cut_round, random_routes,
+                      tiny_instance)
 from lotforge import formulations as fm
 from lotforge import heuristic, preprocess
 from lotforge.instance import (Instance, InstanceSpec, NetworkShape,
@@ -268,6 +271,136 @@ def test_parse_lp_mutated_text_raises_only_lp_parse_error(build, edits):
     model.check()
 
 
+@pytest.mark.parametrize("text", [
+    "Minimize\n obj: + inf x_p_t1\nEnd\n",
+    "Minimize\n obj: x_p_t1\nSubject To\n c1: - inf x_p_t1 >= 1\nEnd\n",
+    "Minimize\n obj: 1e999 x_p_t1\nEnd\n",
+    "Minimize\n obj: 1e308 x_p_t1 + 1e308 x_p_t1\nEnd\n",
+    "Minimize\n obj: x_p_t1\nSubject To\n c1: x_p_t1 >= nan\nEnd\n",
+    "Minimize\n obj: x_p_t1\nBounds\n x_p_t1 <= nan\nEnd\n",
+    "Minimize\n obj: x_p_t1\nBounds\n NaN <= x_p_t1 <= 5.0\nEnd\n",
+], ids=["inf-objective", "inf-row", "overflowing-number", "overflowing-sum",
+        "nan-rhs", "nan-bound", "nan-lower-bound"])
+def test_parse_lp_rejects_non_finite_numbers(text):
+    with pytest.raises(fm.LpParseError):
+        fm.parse_lp(text)
+
+
+def test_parse_lp_keeps_infinite_bounds():
+    model = fm.parse_lp("Minimize\n obj: x_p_t1 + s_p_t1\nBounds\n"
+                        " -inf <= x_p_t1 <= 5.0\n s_p_t1 >= -inf\nEnd\n")
+    x, s = model.bounds()[fm.VarId("x", 0, 0, 0)], model.bounds()[fm.VarId("s", 0, 0, 0)]
+    assert (x.lb, x.ub) == (-math.inf, 5.0)
+    assert (s.lb, s.ub) == (-math.inf, math.inf)
+
+
+# Differential tests: export_lp and parse_lp against the writer and reader
+# they replaced (tests/lp_reference.py).
+
+_COEFS = [0.0, -0.0, 1, -2, 3.5, -0.1, 1e-300, -1e300, 2 ** 60,
+          np.float64(0.25), np.float64(-7.0), np.float64(0.0)]
+_UNDECLARED = [fm.VarId("x", 2, 99, 0), fm.VarId("w", 0, 7, 0, 3),
+               fm.VarId("s3", 1, 42, 5)]
+# A term's variable: an undeclared one, or an index into the declared ones.
+_TERMS = st.lists(st.tuples(st.one_of(st.sampled_from(_UNDECLARED),
+                                      st.integers(0, 10 ** 6)),
+                            st.sampled_from(_COEFS)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([fm.build_std, fm.build_mc, fm.build_3lf]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), _TERMS,
+       st.lists(st.tuples(_TERMS, st.sampled_from(["=", "<=", ">="]),
+                          st.sampled_from(_COEFS)), max_size=4))
+def test_export_lp_matches_reference(build, seed, cut_round, obj_terms, rows):
+    ins = tiny_instance(np.random.default_rng(seed))
+    model = build(ins)
+    if cut_round and model.kind != "MC":
+        model = one_cut_round(ins, model, seed)
+    declared = [d.var for d in model.variables]
+
+    def var(v):
+        return declared[v % len(declared)] if isinstance(v, int) else v
+
+    objective = dict(model.objective)
+    objective.update((var(v), c) for v, c in obj_terms)
+    extra = [fm.Constraint(f"extra{n}", {var(v): c for v, c in terms}, sense, rhs)
+             for n, (terms, sense, rhs) in enumerate(rows)]
+    model = fm.MipModel(model.kind, model.variables, objective,
+                        model.constraints + extra)
+    assert fm.export_lp(model) == lp_reference.export_lp(model)
+
+
+def _has_non_finite(model: fm.MipModel) -> bool:
+    coefs = list(model.objective.values())
+    for con in model.constraints:
+        coefs.extend(con.coefs.values())
+    return (not all(map(math.isfinite, coefs))
+            or any(math.isnan(con.rhs) for con in model.constraints)
+            or any(math.isnan(d.lb) or math.isnan(d.ub) for d in model.variables))
+
+
+def _assert_parses_like_reference(text, same_message=False):
+    """parse_lp returns the reference's model (equal down to the order of
+    every dict and the sign of zeros), or raises LpParseError where the
+    reference raises or where the reference's model holds a number that is
+    not finite."""
+    try:
+        expected = lp_reference.parse_lp(text)
+    except ValueError as ref_err:
+        with pytest.raises(fm.LpParseError) as err:
+            fm.parse_lp(text)
+        assert not same_message or str(err.value) == str(ref_err)
+        return
+    try:
+        model = fm.parse_lp(text)
+    except fm.LpParseError:
+        assert _has_non_finite(expected)
+        return
+    assert repr(model) == repr(expected)
+
+
+def _std_with_cuts():
+    ins = small_instance()
+    return one_cut_round(ins, fm.build_std(ins))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([fm.build_std, fm.build_mc, fm.build_3lf, None]), TEXT_EDITS)
+def test_parse_lp_matches_reference_on_mutated_text(build, edits):
+    model = _std_with_cuts() if build is None else build(small_instance())
+    _assert_parses_like_reference(apply_edits(fm.export_lp(model), edits))
+
+
+@pytest.mark.parametrize("header", [
+    "Subject To", "SUBJECT TO", "subject  to", "st", "S.T.", "\u017ft",
+    "\u017fubject to", "B\u0131naries", "b\u0130nary", "Generals", "End", "Maximize"])
+def test_parse_lp_section_headers_match_reference(header):
+    text = fm.export_lp(_std_with_cuts())
+    _assert_parses_like_reference(text.replace("Subject To\n", header + "\n"))
+    _assert_parses_like_reference(text.replace("Binaries\n", header + "\n"))
+
+
+@pytest.mark.parametrize("text", [
+    " obj: x_p_t1 + 2 x_p_t1 - 0.5 y_p_t1 - 0.5 x_p_t1",
+    " obj: - 0.0 x_p_t1 + -0.0 y_p_t1 + 0 s_p_t1",
+    " obj: 3 + x_p_t1 - 4 - y_p_t1",
+    " obj: x_p_t1\nSubject To\n c1: x_p_t1\n >= 1 c2 : y_p_t1 <= 2\n c3:x_p_t1 = 0 :",
+    " obj: x_p_t1\nSubject To\n c1: x_p_t1 >= 1 >= 2",
+    " obj: x_p_t1\nSubject To\n c1: x_p_t1 < 1\n c2: x_p_t1 > 1e3",
+    " obj: x_p_t1\nSubject To\n c1: x_p_t1 >=",
+    " obj: x_p_t1 2 3 y_p_t1",
+    " obj: x_p_t1 4",
+    " obj: x_p_t1\nBounds\n x_p_t1 free\n y_p_t1 = 2\n 1 <= s_p_t1 <= 3\n s_p_t1 3",
+    " obj: x_p_t1\nBinaries\n y_p_t1 x_p_t1\n 5",
+    "x_p_t1 + y_p_t1",
+], ids=["repeated-variable", "signed-zeros", "sign-drops-number", "labels-across-lines",
+        "two-senses", "strict-senses", "no-rhs", "dangling-number",
+        "trailing-number", "bounds", "binaries", "no-label"])
+def test_parse_lp_hand_written_text_matches_reference(text):
+    _assert_parses_like_reference(f"Minimize\n{text}\nEnd\n", same_message=True)
+
+
 def test_mip_start_export():
     point = {fm.VarId("y", 0, 0, 0): 1.0, fm.VarId("x", 0, 0, 0): 12.5}
     text = fm.export_mip_start(point)
@@ -276,10 +409,14 @@ def test_mip_start_export():
 
 # SHA-256 of the byte-stable outputs on a 12/3/6 unbalanced instance
 # (seed 0, retailers 0-8 at warehouse 0), captured before the network
-# arrays replaced the per-module facility key helpers.
+# arrays replaced the per-module facility key helpers. The two cut-row
+# texts (one round of all six families at a replayed fractional point)
+# were captured before export_lp built its name table.
 GOLDEN_SHA256 = {
     "std_lp": "c2a2b5a3c77930699800e34f4a41272e881a3826d7c3015bce71be4ade76eb85",
     "3lf_lp": "82e8b9979c209d9f3c31b5bd8578797352b728d4889815cff34823977a808c9f",
+    "std_cut_lp": "27e3e4c1721433a21726b2d3073fcdc3e442f7c54257b08ad1d11467bc02e5a1",
+    "3lf_cut_lp": "6129da2d6292ac6f9be89cad832ce74448bf87f131548375465408f1741aaa76",
     "mc_lp": "01ab785e5c80ac8f63cc73f9c766d199e58ce6f3a5335652a20a4dfc536a7c67",
     "removal_csv": "50b5367a34b9490691cdf908837b977b75c5ee8496913afb3f93fe784a1680ab",
     "solution_csv": "fe5bf3bbcc4646bfdb1ba8763c376e8008e7e6bad52fa8cddb7f6771f2e54deb",
@@ -294,6 +431,8 @@ def test_golden_outputs_byte_stable():
     texts = {
         "std_lp": fm.export_lp(fm.build_std(ins)),
         "3lf_lp": fm.export_lp(fm.build_3lf(ins)),
+        "std_cut_lp": fm.export_lp(one_cut_round(ins, fm.build_std(ins))),
+        "3lf_cut_lp": fm.export_lp(one_cut_round(ins, fm.build_3lf(ins))),
         "mc_lp": fm.export_lp(preprocess.apply_removals(fm.build_mc(ins), removals)),
         "removal_csv": preprocess.removal_report_csv(removals),
         "solution_csv": write_solution_csv(ins, best),
