@@ -216,7 +216,9 @@ def _cmd_export(args) -> int:
         heur = run_heuristic(instance, HeuristicConfig(seed=args.seed))
         point = fm.std_point_from_solution(instance, heur.best.x, heur.best.y,
                                            heur.best.s)
-        Path(args.mip_start).write_text(fm.export_mip_start(point))
+        declared = set(model.var_ids[:model.declared])  # y only, unless STD
+        Path(args.mip_start).write_text(fm.export_mip_start(
+            {var: val for var, val in point.items() if var in declared}))
     return 0
 
 

@@ -26,12 +26,13 @@ injected callback and accumulates all violated cuts, deduplicated by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .formulations import Constraint, MipModel, VarId, VarValueMap
+from .formulations import Constraint, MipModel, VarId, VarValueMap, objective_value
 from .instance import Instance, cumulative_demand, facility_keys
 
 DEFAULT_VIOLATION_TOL = 10.0
@@ -48,9 +49,10 @@ class CutConfig:
     three_level_every: int = DEFAULT_THREE_LEVEL_EVERY
 
     def __post_init__(self):
-        if self.violation_tol <= 0 or self.two_level_every <= 0 \
+        if not 0 < self.violation_tol < math.inf or self.two_level_every <= 0 \
                 or self.three_level_every <= 0 or self.max_rounds < 0:
-            raise ValueError("cut configuration values must be positive")
+            raise ValueError("cut configuration values must be positive "
+                             "(the violation tolerance also finite)")
 
 
 @dataclass
@@ -359,11 +361,8 @@ _THREE = {"STD": separate_three_level_std, "3LF": separate_three_level_3lf}
 
 def add_cuts_to_model(model: MipModel, cuts: list[Cut]) -> MipModel:
     """New model with the cut pool appended as named >= rows."""
-    rows = list(model.constraints)
-    for n, cut in enumerate(cuts):
-        rows.append(Constraint(f"cut_{cut.family}_{n}", dict(cut.coefs),
-                               cut.sense, cut.rhs))
-    return MipModel(model.kind, model.variables, model.objective, rows)
+    return model.with_rows(Constraint(f"cut_{cut.family}_{n}", cut.coefs, cut.sense, cut.rhs)
+                           for n, cut in enumerate(cuts))
 
 
 @dataclass
@@ -399,7 +398,7 @@ def cutting_plane_loop(instance: Instance, model: MipModel, lp_source: LpSource,
             return CutLoopResult(list(pool.values()), rounds, objective,
                                  "lp_unavailable")
         rounds = rnd
-        objective = sum(c * point.get(v, 0.0) for v, c in model.objective.items())
+        objective = objective_value(model, point)
         found = list(_SINGLE[model.kind](instance, point, tol))
         if rnd % config.two_level_every == 0:
             found += _TWO[model.kind](instance, point, tol)

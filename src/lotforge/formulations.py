@@ -1,19 +1,24 @@
 """MIP model builders (STD, MC, 3LF), LP-format export/parse, and the
 3LF-to-STD aggregation mapping.
 
-Models are solver-agnostic: variables, a linear objective, and linear
-rows. Variable names encode identity bijectively (e.g. ``y_w3_t7``,
-``w2_r12_k3_t9``) so LP files and solution files can be mapped back.
-Facility indices in names are 0-based, periods are 1-based.
+A model is one column table with CSR rows (MipModel); builders,
+preprocessing, cut rows, LP export and parse and the LP solve all work
+on its arrays. Its dict-shaped variables, objective, constraints and
+bounds() are read-only snapshots, built from the arrays on first access
+with one shared VarId per column; changing a snapshot changes no model.
+
+Variable names encode identity bijectively (e.g. ``y_w3_t7``,
+``w2_r12_k3_t9``) so LP files and solution files can be mapped back;
+they are built only at the text boundary. Facility indices in names are
+0-based, periods are 1-based.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,23 +40,24 @@ class VarId(NamedTuple):
     t: int = -1
 
     def name(self) -> str:
-        family, b, idx, k, t = self
-        if family in ("x", "s", "y"):
-            return f"{family}_{facility_label(b, idx)}_t{k + 1}"
-        if family == "w":
-            return f"w{b}_r{idx}_k{k + 1}_t{t + 1}"
-        if family == "sig":
-            return f"sig{b}_r{idx}_k{k + 1}_t{t + 1}"
-        if family == "x3":
-            return f"x{b}_r{idx}_t{k + 1}"
-        if family == "s3":
-            return f"s{b}_r{idx}_t{k + 1}"
-        raise ValueError(f"unknown family {family!r}")
+        return _name(*self)
 
 
-_STD_RE = re.compile(r"^([xsy])_(p|w(\d+)|r(\d+))_t(\d+)$")
-_MC_RE = re.compile(r"^(w|sig)([012])_r(\d+)_k(\d+)_t(\d+)$")
-_3LF_RE = re.compile(r"^([xs])([012])_r(\d+)_t(\d+)$")
+def _name(family: str, b: int, idx: int, k: int, t: int) -> str:
+    if family in ("x", "s", "y"):
+        return f"{family}_{facility_label(b, idx)}_t{k + 1}"
+    if family in ("w", "sig"):
+        return f"{family}{b}_r{idx}_k{k + 1}_t{t + 1}"
+    if family in ("x3", "s3"):
+        return f"{family[0]}{b}_r{idx}_t{k + 1}"
+    raise ValueError(f"unknown family {family!r}")
+
+
+# An index has at most 18 digits, so that it fits the int64 column table.
+_N = r"(\d{1,18})"
+_STD_RE = re.compile(rf"^([xsy])_(p|w{_N}|r{_N})_t{_N}$")
+_MC_RE = re.compile(rf"^(w|sig)([012])_r{_N}_k{_N}_t{_N}$")
+_3LF_RE = re.compile(rf"^([xs])([012])_r{_N}_t{_N}$")
 
 
 def parse_var_name(name: str) -> VarId:
@@ -88,184 +94,289 @@ class Constraint(NamedTuple):
     rhs: float
 
 
-@dataclass
+FAMILIES = ("x", "s", "y", "w", "sig", "x3", "s3")
+_X, _S, _Y, _W, _SIG, _X3, _S3 = range(len(FAMILIES))
+_FAMILY = {name: code for code, name in enumerate(FAMILIES)}
+SENSES = ("=", "<=", ">=")
+_EQ, _LE, _GE = range(len(SENSES))
+_SENSE = {sense: code for code, sense in enumerate(SENSES)}
+_FIELDS = ("kind", "family", "b", "idx", "k", "t", "lb", "ub", "binary", "declared",
+           "obj_cols", "obj_vals", "row_names", "sense", "rhs", "indptr", "indices", "data")
+
+
+def _columns(ids) -> dict:
+    """family, b, idx, k and t of columns given as VarIds."""
+    family, *rest = tuple(zip(*ids)) or ((),) * 5
+    codes = [_FAMILY[f] for f in family]
+    return dict(zip(("family", "b", "idx", "k", "t"),
+                    (np.array(a, dtype=np.intp) for a in (codes, *rest))))
+
+
+def _rows(names, sense, rhs, lengths, indices, data) -> dict:
+    """The row fields from lists; lengths are the rows' term counts."""
+    return {"row_names": names, "sense": np.array(sense, dtype=np.int8),
+            "rhs": np.array(rhs, dtype=float),
+            "indptr": np.r_[0, np.cumsum(lengths, dtype=np.intp)],
+            "indices": np.array(indices, dtype=np.intp), "data": np.array(data, dtype=float)}
+
+
+def _constraint_rows(rows: list[Constraint], column) -> dict:
+    """The row fields of Constraints; column(var) is a term's column."""
+    coefs = [r.coefs for r in rows]
+    return _rows([r.name for r in rows], [_SENSE[r.sense] for r in rows],
+                 [r.rhs for r in rows], list(map(len, coefs)),
+                 list(map(column, chain.from_iterable(coefs))),
+                 list(chain.from_iterable(map(dict.values, coefs))))
+
+
+def _floats(values: np.ndarray) -> list[float]:
+    """values as Python floats that share one object per bit pattern, which
+    keeps large snapshots small."""
+    distinct, which = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                                return_inverse=True)
+    return np.array(distinct.view(float).tolist(), dtype=object)[which].tolist()
+
+
 class MipModel:
-    kind: str  # 'STD', 'MC' or '3LF'
-    variables: list[VarDecl]
-    objective: dict[VarId, float]
-    constraints: list[Constraint]
+    """A MIP as a column table with CSR rows.
+
+    Column j is the variable (FAMILIES[family[j]], b[j], idx[j], k[j],
+    t[j]) with bounds lb[j]..ub[j] and flag binary[j]; the first
+    `declared` columns are the model's variables in declaration order,
+    and any later one is a variable that only terms reference (check()
+    rejects them). The objective is obj_cols/obj_vals in insertion order.
+    Row i is row_names[i] with the terms indices/data[indptr[i]:indptr[i +
+    1]] in insertion order (explicit zeros kept), SENSES[sense[i]] and
+    rhs[i]."""
+
+    def __init__(self, kind: str, variables, objective, constraints):
+        """A model assembled from dict parts: VarDecls, an objective dict
+        and Constraints. A variable declared twice is referenced at its
+        last declaration."""
+        ids = [decl.var for decl in variables]
+        where = {var: j for j, var in enumerate(ids)}
+
+        def column(var: VarId) -> int:
+            if var not in where:
+                where[var] = len(ids)
+                ids.append(var)
+            return where[var]
+
+        obj_cols = [column(var) for var in objective]
+        rows = _constraint_rows(list(constraints), column)
+        pad = [(0.0, INF, False)] * (len(ids) - len(variables))
+        bounds = np.array([d[1:] for d in variables] + pad, dtype=float).reshape(-1, 3)
+        lb, ub, binary = bounds.T
+        self.__dict__.update(
+            kind=kind, **_columns(ids), lb=lb, ub=ub, binary=binary != 0,
+            declared=len(variables), obj_cols=np.array(obj_cols, dtype=np.intp),
+            obj_vals=np.array(list(objective.values()), dtype=float), **rows, var_ids=ids)
+
+    @classmethod
+    def from_arrays(cls, var_ids=None, **fields) -> MipModel:
+        """A model from every field of the table; var_ids, when given, are
+        its columns' VarIds."""
+        model = cls.__new__(cls)
+        model.__dict__.update((name, fields[name]) for name in _FIELDS)
+        if var_ids is not None:
+            model.var_ids = var_ids
+        return model
+
+    def replace(self, **changes) -> MipModel:
+        """A model sharing every field but the changed ones."""
+        return MipModel.from_arrays(**{**{name: getattr(self, name) for name in _FIELDS},
+                                       **changes})
+
+    def with_rows(self, rows) -> MipModel:
+        """A model with these Constraints appended; each term's variable
+        must be one of the model's columns."""
+        column = dict(zip(self.var_ids, range(len(self.family)))).__getitem__
+        new = _constraint_rows(list(rows), column)
+        return self.replace(row_names=self.row_names + new.pop("row_names"),
+                            indptr=np.r_[self.indptr, self.indptr[-1] + new.pop("indptr")[1:]],
+                            **{name: np.r_[getattr(self, name), a] for name, a in new.items()})
+
+    def map_columns(self, fn) -> list:
+        """fn(family, b, idx, k, t) of every column."""
+        family = np.array(FAMILIES, dtype=object)[self.family].tolist()
+        return list(map(fn, family, *(a.tolist() for a in (self.b, self.idx, self.k, self.t))))
+
+    @cached_property
+    def var_ids(self) -> list[VarId]:
+        """One VarId per column, shared by every snapshot and LP point."""
+        return self.map_columns(VarId)
+
+    @cached_property
+    def variables(self) -> list[VarDecl]:
+        n = self.declared
+        return list(map(VarDecl, self.var_ids[:n], _floats(self.lb[:n]), _floats(self.ub[:n]),
+                        self.binary[:n].tolist()))
+
+    @cached_property
+    def objective(self) -> dict[VarId, float]:
+        return dict(zip(map(self.var_ids.__getitem__, self.obj_cols.tolist()),
+                        _floats(self.obj_vals)))
+
+    @cached_property
+    def constraints(self) -> list[Constraint]:
+        variables = list(map(self.var_ids.__getitem__, self.indices.tolist()))
+        values, ptr = _floats(self.data), self.indptr.tolist()
+        return [Constraint(name, dict(zip(variables[a:b], values[a:b])), SENSES[sense], rhs)
+                for name, a, b, sense, rhs in zip(self.row_names, ptr, ptr[1:],
+                                                  self.sense.tolist(), _floats(self.rhs))]
 
     def bounds(self) -> dict[VarId, VarDecl]:
         return {d.var: d for d in self.variables}
 
     def check(self) -> None:
-        declared = {d.var for d in self.variables}
-        for var in self.objective:
-            if var not in declared:
-                raise ValueError(f"objective references undeclared {var.name()}")
-        for con in self.constraints:
-            for var in con.coefs:
-                if var not in declared:
-                    raise ValueError(f"row {con.name} references undeclared {var.name()}")
+        """Raise ValueError if a term references an undeclared variable."""
+        if self.declared < len(self.family):
+            raise ValueError(f"a term references undeclared "
+                             f"{self.var_ids[self.declared].name()}")
+
+    def __repr__(self) -> str:
+        return (f"MipModel(kind={self.kind!r}, variables={self.variables!r}, "
+                f"objective={self.objective!r}, constraints={self.constraints!r})")
 
 
-def _y_vars(instance: Instance) -> list[VarDecl]:
-    return [VarDecl(VarId("y", b, idx, k), 0.0, 1.0, True)
-            for b, idx in facility_keys(instance) for k in range(instance.num_periods)]
+# --------------------------------------------------------------------------
+# Builders. Each fills the table with numpy in a fixed order of columns,
+# objective terms, rows and row terms, which the LP text keeps: the golden
+# hashes and tests/model_reference.py pin it.
+
+def _zip(*arrays) -> np.ndarray:
+    """Interleave arrays (scalars broadcast) element by element."""
+    return np.stack(np.broadcast_arrays(*arrays), axis=-1).ravel()
 
 
-def _setup_objective(instance: Instance) -> dict[VarId, float]:
-    return {VarId("y", b, idx, k): float(instance.setup_cost[fac, k])
-            for fac, (b, idx) in enumerate(facility_keys(instance))
-            for k in range(instance.num_periods)}
+def _concat(parts) -> list[np.ndarray]:
+    """Field-wise concatenation of tuples of broadcast arrays."""
+    return [np.concatenate(field)
+            for field in zip(*(map(np.ravel, np.broadcast_arrays(*part)) for part in parts))]
+
+
+def _model(kind: str, blocks, obj, names: list[str], sense, rhs, n_slots: int,
+           *terms) -> MipModel:
+    """A built model. blocks: column blocks (family, b, idx, k, t, ub,
+    binary), every column declared with lb 0; obj: (cols, vals) in
+    insertion order; terms: (row, slot, col, value) parts, each row's
+    terms put in slot order."""
+    *ints, ub, binary = _concat(blocks)
+    row, slot, col, val = _concat(terms)
+    order = np.argsort(row * n_slots + slot, kind="stable")
+    return MipModel.from_arrays(
+        kind=kind,
+        **dict(zip(("family", "b", "idx", "k", "t"), (a.astype(np.intp) for a in ints))),
+        lb=np.zeros(len(ub)), ub=ub.astype(float), binary=binary, declared=len(ub),
+        obj_cols=obj[0].astype(np.intp), obj_vals=obj[1].astype(float), row_names=names,
+        sense=np.asarray(sense, dtype=np.int8).ravel(), rhs=rhs.ravel(),
+        indptr=np.r_[0, np.cumsum(np.bincount(row, minlength=len(names)))],
+        indices=col[order].astype(np.intp), data=val[order].astype(float))
+
+
+def _y_block(instance: Instance):
+    """The setup columns, facility-major, as a column block; their costs."""
+    fac, k = np.divmod(np.arange(instance.num_facilities * instance.num_periods),
+                       instance.num_periods)
+    return ((_Y, instance.level[fac], instance.ordinal[fac], k, -1, 1.0, True),
+            instance.setup_cost.ravel())
+
+
+def _retailer_paths(instance: Instance) -> np.ndarray:
+    """(R, 3) facilities on each retailer's path: plant, warehouse, itself."""
+    rfac = 1 + instance.num_warehouses + np.arange(instance.num_retailers)
+    return np.stack([np.zeros_like(rfac), instance.parent[rfac], rfac], axis=1)
 
 
 def build_std(instance: Instance) -> MipModel:
-    cum = cumulative_demand(instance)
-    T = instance.num_periods
-    keys = facility_keys(instance)
-    decls: list[VarDecl] = []
-    obj: dict[VarId, float] = {}
-    cons: list[Constraint] = []
+    T, F = instance.num_periods, instance.num_facilities
+    tail = cumulative_demand(instance).table[:, :, -1].ravel()
+    fac, t = np.divmod(np.arange(F * T), T)
+    q = np.arange(F * T)  # slot (fac, t): columns x 2q and s 2q + 1, then y 2FT + q
+    x, s, y = 2 * q, 2 * q + 1, 2 * F * T + q
+    flows = (np.tile([_X, _S], F * T), np.repeat(instance.level[fac], 2),
+             np.repeat(instance.ordinal[fac], 2), np.repeat(t, 2), -1, _zip(tail, INF), False)
+    y_block, setup = _y_block(instance)
+    hold = instance.holding_cost.ravel()
+    with_hold = _zip(True, hold != 0)
+    obj = _zip(y, s)[with_hold], _zip(setup, hold)[with_hold]
 
-    for fac, (b, idx) in enumerate(keys):
-        for k in range(T):
-            decls.append(VarDecl(VarId("x", b, idx, k), 0.0, cum.tail(fac, k), False))
-            decls.append(VarDecl(VarId("s", b, idx, k), 0.0, INF, False))
-    decls.extend(_y_vars(instance))
-
-    for fac, (b, idx) in enumerate(keys):
-        for k in range(T):
-            obj[VarId("y", b, idx, k)] = float(instance.setup_cost[fac, k])
-            hc = float(instance.holding_cost[fac, k])
-            if hc:
-                obj[VarId("s", b, idx, k)] = hc
-
-    children: list[list[tuple[int, int]]] = [[] for _ in keys]
-    for j, parent in enumerate(instance.parent.tolist()[1:], start=1):
-        children[parent].append(keys[j])
-    for fac, (b, idx) in enumerate(keys):
-        lbl = facility_label(b, idx)
-        for t in range(T):
-            coefs = {VarId("x", b, idx, t): 1.0, VarId("s", b, idx, t): -1.0}
-            if t > 0:
-                coefs[VarId("s", b, idx, t - 1)] = 1.0
-            rhs = 0.0
-            if b < 2:
-                for jb, jidx in children[fac]:
-                    coefs[VarId("x", jb, jidx, t)] = -1.0
-            else:
-                rhs = float(instance.demand[idx, t])
-            cons.append(Constraint(f"bal_{lbl}_t{t + 1}", coefs, "=", rhs))
-        for t in range(T):
-            coefs = {VarId("x", b, idx, t): 1.0,
-                     VarId("y", b, idx, t): -cum.tail(fac, t)}
-            cons.append(Constraint(f"setup_{lbl}_t{t + 1}", coefs, "<=", 0.0))
-
-    model = MipModel("STD", decls, obj, cons)
-    model.check()
-    return model
+    bal = fac * 2 * T + t  # facility fac's balance rows, then its setup rows
+    rhs = np.zeros((F, 2, T))
+    retail = np.flatnonzero(instance.level == 2)
+    rhs[retail, 0] = instance.demand[instance.ordinal[retail]]
+    labels = [facility_label(b, idx) for b, idx in facility_keys(instance)]
+    names = [f"{row}_{lbl}_t{p}" for lbl in labels for row in ("bal", "setup")
+             for p in range(1, T + 1)]
+    child = q[T:]  # slots of every facility but the plant
+    return _model("STD", [flows, y_block], obj, names, np.tile(np.repeat([_EQ, _LE], T), F),
+                  rhs, F + 3,
+                  (bal, 0, x, 1.0), (bal, 1, s, -1.0), (bal[t > 0], 2, s[t > 0] - 2, 1.0),
+                  (bal[instance.parent[fac[child]] * T + t[child]], 3 + fac[child], x[child],
+                   -1.0),
+                  (bal + T, 0, x, 1.0), (bal + T, 1, y, -tail))
 
 
-def _paths(instance: Instance):
-    """Per retailer r: its facility index, the facilities of its path from
-    the plant (0, parent, itself) and the ordinals of those facilities."""
-    for r in range(instance.num_retailers):
-        fac = instance.retailer(r)
-        path = (0, int(instance.parent[fac]), fac)
-        yield r, fac, path, [int(instance.ordinal[a]) for a in path]
+_MC_ROWS = tuple(f"mc{row}{b}" for row in ("bal", "setup") for b in range(3))
 
 
 def build_mc(instance: Instance) -> MipModel:
-    T = instance.num_periods
-    decls: list[VarDecl] = list(_y_vars(instance))
-    obj = _setup_objective(instance)
-    cons: list[Constraint] = []
+    T, R, F = instance.num_periods, instance.num_retailers, instance.num_facilities
+    paths = _retailer_paths(instance)
+    tt, kk = np.nonzero(np.tri(T, dtype=bool))  # (t, k <= t), t-major
+    r, t, k = np.repeat(np.arange(R), len(tt)), np.tile(tt, R), np.tile(kk, R)
+    d = instance.demand[r, t].astype(float)
+    # Block p = (r, t, k) holds w0 sig0 w1 sig1 w2 sig2, less the sigmas when
+    # k = t: sigma at k = t is identically zero (stock held past the demand
+    # period is useless) and is simply not a variable.
+    held = k < t
+    exists = np.ones((len(r), 6), dtype=bool)
+    exists[:, 1::2] = held[:, None]
+    col = F * T - 1 + np.cumsum(exists).reshape(-1, 6)  # the column of an existing slot
+    w, sig = col[:, ::2], col[:, 1::2][held]
+    grid = (np.tile([_W, _SIG], 3), np.repeat(np.arange(3), 2), r[:, None], k[:, None],
+            t[:, None], np.where(np.arange(6) % 2, INF, d[:, None]), False)
+    flows = [np.broadcast_to(a, exists.shape)[exists] for a in grid]
+    y_block, setup = _y_block(instance)
+    hold = instance.holding_cost[paths[r[held]], k[held, None]]
+    obj = np.r_[np.arange(F * T), sig[hold != 0]], np.r_[setup, hold[hold != 0]]
 
-    for r, fac, path, ords in _paths(instance):
-        hold = instance.holding_cost[list(path)]
-        for t in range(T):
-            d = float(instance.demand[r, t])
-            for k in range(t + 1):
-                for b in range(3):
-                    decls.append(VarDecl(VarId("w", b, r, k, t), 0.0, d, False))
-                    if k < t:
-                        decls.append(VarDecl(VarId("sig", b, r, k, t), 0.0, INF, False))
-                        hc = float(hold[b][k])
-                        if hc:
-                            obj[VarId("sig", b, r, k, t)] = hc
-
-        for t in range(T):
-            d = float(instance.demand[r, t])
-            for k in range(t + 1):
-                # Commodity balance per level; sigma at k = t is identically
-                # zero (stock held past the demand period is useless) and is
-                # simply not a variable.
-                for b in range(3):
-                    coefs = {VarId("w", b, r, k, t): 1.0}
-                    if k > 0:
-                        coefs[VarId("sig", b, r, k - 1, t)] = 1.0
-                    rhs = 0.0
-                    if b < 2:
-                        coefs[VarId("w", b + 1, r, k, t)] = -1.0
-                        if k < t:
-                            coefs[VarId("sig", b, r, k, t)] = -1.0
-                    else:
-                        if k < t:
-                            coefs[VarId("sig", b, r, k, t)] = -1.0
-                        else:
-                            rhs = d
-                    cons.append(Constraint(f"mcbal{b}_r{r}_k{k + 1}_t{t + 1}",
-                                           coefs, "=", rhs))
-                for b in range(3):
-                    coefs = {VarId("w", b, r, k, t): 1.0}
-                    if d:
-                        coefs[VarId("y", b, ords[b], k)] = -d
-                    cons.append(Constraint(f"mcsetup{b}_r{r}_k{k + 1}_t{t + 1}",
-                                           coefs, "<=", 0.0))
-
-    model = MipModel("MC", decls, obj, cons)
-    model.check()
-    return model
+    row = 6 * np.arange(len(r))[:, None] + np.arange(3)  # balance rows; setup rows + 3
+    after = k > 0  # sig(b, k - 1) is in block p - 1
+    rhs = np.zeros((len(r), 6))
+    rhs[~held, 2] = d[~held]
+    suffixes = [f"_r{a}_k{c + 1}_t{e + 1}"
+                for a, c, e in zip(r.tolist(), k.tolist(), t.tolist())]
+    has_y = d != 0
+    return _model("MC", [y_block, flows], obj, [p + s for s in suffixes for p in _MC_ROWS],
+                  np.tile(np.repeat([_EQ, _LE], 3), len(r)), rhs, 4,
+                  (row, 0, w, 1.0), (row[after], 1, col[np.flatnonzero(after) - 1, 1::2], 1.0),
+                  (row[:, :2], 2, w[:, 1:], -1.0), (row[held], 3, sig, -1.0),
+                  (row + 3, 0, w, 1.0),
+                  (row[has_y] + 3, 1, (paths[r] * T + k[:, None])[has_y], -d[has_y, None]))
 
 
 def build_3lf(instance: Instance) -> MipModel:
-    cum = cumulative_demand(instance)
-    T = instance.num_periods
-    decls: list[VarDecl] = []
-    cons: list[Constraint] = []
-
-    for r, fac, _, _ in _paths(instance):
-        for b in range(3):
-            for t in range(T):
-                decls.append(VarDecl(VarId("x3", b, r, t), 0.0, cum.tail(fac, t), False))
-                decls.append(VarDecl(VarId("s3", b, r, t), 0.0, INF, False))
-    decls.extend(_y_vars(instance))
-    obj = _setup_objective(instance)
-
-    for r, fac, path, ords in _paths(instance):
-        hold = instance.holding_cost[list(path)]
-        for b in range(3):
-            for t in range(T):
-                hc = float(hold[b][t])
-                if hc:
-                    obj[VarId("s3", b, r, t)] = hc
-                coefs = {VarId("x3", b, r, t): 1.0, VarId("s3", b, r, t): -1.0}
-                if t > 0:
-                    coefs[VarId("s3", b, r, t - 1)] = 1.0
-                rhs = 0.0
-                if b < 2:
-                    coefs[VarId("x3", b + 1, r, t)] = -1.0
-                else:
-                    rhs = float(instance.demand[r, t])
-                cons.append(Constraint(f"bal3_{b}_r{r}_t{t + 1}", coefs, "=", rhs))
-                setup = {VarId("x3", b, r, t): 1.0,
-                         VarId("y", b, ords[b], t): -cum.tail(fac, t)}
-                cons.append(Constraint(f"setup3_{b}_r{r}_t{t + 1}", setup, "<=", 0.0))
-
-    model = MipModel("3LF", decls, obj, cons)
-    model.check()
-    return model
+    T, R, F = instance.num_periods, instance.num_retailers, instance.num_facilities
+    paths = _retailer_paths(instance)
+    r, b, t = (a.ravel() for a in np.indices((R, 3, T)))
+    tail = cumulative_demand(instance).table[paths[r, 2], t, -1]
+    q = np.arange(3 * R * T)  # slot (r, b, t): columns x3 2q and s3 2q + 1, then y
+    x, s = 2 * q, 2 * q + 1
+    flows = (np.tile([_X3, _S3], 3 * R * T), np.repeat(b, 2), np.repeat(r, 2), np.repeat(t, 2),
+             -1, _zip(tail, INF), False)
+    y_block, setup = _y_block(instance)
+    hold = instance.holding_cost[paths[r, b], t]
+    obj = np.r_[6 * R * T + np.arange(F * T), s[hold != 0]], np.r_[setup, hold[hold != 0]]
+    rhs = np.zeros((3 * R * T, 2))
+    rhs[b == 2, 0] = instance.demand[r[b == 2], t[b == 2]]
+    names = [f"{row}3_{lvl}_r{ret}_t{p}" for ret in range(R) for lvl in range(3)
+             for p in range(1, T + 1) for row in ("bal", "setup")]
+    return _model("3LF", [flows, y_block], obj, names, np.tile([_EQ, _LE], 3 * R * T), rhs, 4,
+                  (2 * q, 0, x, 1.0), (2 * q, 1, s, -1.0),
+                  (2 * q[t > 0], 2, s[t > 0] - 2, 1.0),
+                  (2 * q[b < 2], 3, x[b < 2] + 2 * T, -1.0), (2 * q + 1, 0, x, 1.0),
+                  (2 * q + 1, 1, 6 * R * T + paths[r, b] * T + t, -tail))
 
 
 VarValueMap = dict[VarId, float]
@@ -283,7 +394,7 @@ def map_3lf_to_std(instance: Instance, point: VarValueMap) -> VarValueMap:
         if var.family == "y":
             out[var] = val
     served: list[list[int]] = [[] for _ in range(instance.num_facilities)]
-    for r, _, path, _ in _paths(instance):
+    for r, path in enumerate(_retailer_paths(instance).tolist()):
         for a in path:
             served[a].append(r)
     for fac, (b, idx) in enumerate(facility_keys(instance)):
@@ -300,81 +411,89 @@ def map_3lf_to_std(instance: Instance, point: VarValueMap) -> VarValueMap:
 
 
 def objective_value(model: MipModel, point: VarValueMap) -> float:
-    return sum(coef * point.get(var, 0.0) for var, coef in model.objective.items())
+    """The objective at a point (absent = 0), summed in insertion order."""
+    ids = model.var_ids
+    return sum(coef * point.get(ids[j], 0.0)
+               for j, coef in zip(model.obj_cols.tolist(), model.obj_vals.tolist()))
 
 
 def evaluate_point(model: MipModel, point: VarValueMap,
                    tol: float = 1e-6) -> list[str]:
     """Names of all rows and bounds violated by a point (absent = 0)."""
-    bad = []
-    for decl in model.variables:
-        val = point.get(decl.var, 0.0)
-        if val < decl.lb - tol or val > decl.ub + tol:
-            bad.append(f"bound:{decl.var.name()}")
-    for con in model.constraints:
-        lhs = sum(c * point.get(v, 0.0) for v, c in con.coefs.items())
-        if con.sense == "=" and abs(lhs - con.rhs) > tol:
-            bad.append(con.name)
-        elif con.sense == "<=" and lhs > con.rhs + tol:
-            bad.append(con.name)
-        elif con.sense == ">=" and lhs < con.rhs - tol:
-            bad.append(con.name)
-    return bad
+    ids, n = model.var_ids, model.declared
+    x = np.array([point.get(var, 0.0) for var in ids], dtype=float)
+    out = (x[:n] < model.lb[:n] - tol) | (x[:n] > model.ub[:n] + tol)
+    bad = [f"bound:{ids[j].name()}" for j in np.flatnonzero(out).tolist()]
+    m = len(model.row_names)
+    row = np.repeat(np.arange(m), np.diff(model.indptr))
+    lhs = np.bincount(row, weights=model.data * x[model.indices], minlength=m)
+    rhs, sense = model.rhs, model.sense
+    violated = (((sense == _EQ) & (np.abs(lhs - rhs) > tol))
+                | ((sense == _LE) & (lhs > rhs + tol)) | ((sense == _GE) & (lhs < rhs - tol)))
+    return bad + [model.row_names[i] for i in np.flatnonzero(violated).tolist()]
 
 
 # --------------------------------------------------------------------------
 # LP-format text
 
-# Undeclared variables sort after every declared one, in insertion order.
-_UNDECLARED = 1 << 30
-_WRITTEN_SENSES = {"=": "=", "<=": "<=", ">=": ">="}
+
+def _written_terms(indptr, indices, data, declared: int,
+                   spaced) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of CSR rows' written terms, row after row, and each
+    row's term count. A term is two pieces, "± |c| " and "name ", built
+    once per distinct value and per column.
+
+    Zero coefficients are left out. A row's terms appear in declaration
+    order, undeclared variables last in insertion order."""
+    keep = data != 0.0
+    row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[keep]
+    col = indices[keep]
+    key = np.where(col < declared, col, declared + np.flatnonzero(keep))
+    order = np.argsort(row * (declared + len(data)) + key)
+    values, which = np.unique(data[keep], return_inverse=True)
+    signed = np.array([f"{'-' if v < 0 else '+'} {abs(v)!r} " for v in values.tolist()],
+                      dtype=object)
+    return (_zip(signed[which[order]], spaced[col[order]]),
+            np.bincount(row, minlength=len(indptr) - 1))
 
 
 def export_lp(model: MipModel) -> str:
-    """LP text of a model: every variable's name is built once, and the
-    "± |c| " text once per distinct coefficient. Terms appear in declaration
-    order (undeclared variables last, in insertion order); zero
-    coefficients are left out."""
-    # A variable declared twice sorts at its last declaration.
-    position = {var: i for i, (var, _, _, _) in enumerate(model.variables)}
-    names = [var.name() for var, _, _, _ in model.variables]
-    signed: dict[float, str] = {}
-
-    def terms(coefs) -> str:
-        row = []
-        for var, coef in coefs.items():
-            if coef == 0.0:
-                continue
-            text = signed.get(coef)
-            if text is None:
-                text = signed[coef] = f"{'-' if coef < 0 else '+'} {abs(float(coef))!r} "
-            i = position.get(var)
-            if i is None:
-                row.append((_UNDECLARED + len(row), text + var.name()))
-            else:
-                row.append((i, text + names[i]))
-        row.sort()  # the positions differ, so no two terms compare by text
-        return " ".join(map(itemgetter(1), row))
-
-    out = [f"\\ kind: {model.kind}", "Minimize", f" obj: {terms(model.objective)}",
-           "Subject To"]
-    for name, coefs, sense, rhs in model.constraints:
-        out.append(f" {name}: {terms(coefs)} {_WRITTEN_SENSES[sense]} {float(rhs)!r}")
-    out.append("Bounds")
-    for (_, lb, ub, binary), name in zip(model.variables, names):
-        if binary or (lb == 0.0 and ub == INF):
-            continue
-        if lb == ub:
-            out.append(f" {name} = {float(lb)!r}")
-        elif ub == INF:
-            out.append(f" {name} >= {float(lb)!r}")
+    """LP text of a model: every column is named once, and the rows are
+    written a block of about 2**16 terms at a time, which bounds the
+    memory of the term pieces."""
+    names = np.array(model.map_columns(_name), dtype=object)
+    spaced, n = names + " ", model.declared
+    obj, _ = _written_terms(np.array([0, len(model.obj_cols)]), model.obj_cols,
+                            model.obj_vals, n, spaced)
+    out = [f"\\ kind: {model.kind}\nMinimize\n obj: {''.join(obj)[:-1]}\nSubject To\n"]
+    indptr, m = model.indptr, len(model.row_names)
+    starts = np.searchsorted(indptr, np.arange(0, indptr[-1], 1 << 16), side="right") - 1
+    edges = np.unique(np.r_[0, starts, m]).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        a, b = indptr[lo], indptr[hi]
+        terms, counts = _written_terms(indptr[lo:hi + 1] - a, model.indices[a:b],
+                                       model.data[a:b], n, spaced)
+        terms, ptr = terms.tolist(), np.r_[0, 2 * np.cumsum(counts)].tolist()
+        # An empty row keeps the space that would have preceded its terms.
+        out += [f" {name}: {''.join(terms[p:q]) if q > p else ' '}{SENSES[sense]} {rhs!r}\n"
+                for name, p, q, sense, rhs in zip(model.row_names[lo:hi], ptr, ptr[1:],
+                                                  model.sense[lo:hi].tolist(),
+                                                  model.rhs[lo:hi].tolist())]
+    out.append("Bounds\n")
+    lb, ub, binary = model.lb[:n], model.ub[:n], model.binary[:n]
+    shown = ~binary & ~((lb == 0.0) & (ub == INF))
+    for name, low, up in zip(names[:n][shown].tolist(), lb[shown].tolist(),
+                             ub[shown].tolist()):
+        if low == up:
+            out.append(f" {name} = {low!r}\n")
+        elif up == INF:
+            out.append(f" {name} >= {low!r}\n")
         else:
-            out.append(f" {float(lb)!r} <= {name} <= {float(ub)!r}")
-    out.append("Binaries")
-    out.extend(f" {name}" for (_, _, _, binary), name in zip(model.variables, names)
-               if binary)
-    out += ["End", ""]  # the empty last line ends the text with "\n" without a copy
-    return "\n".join(out)
+            out.append(f" {low!r} <= {name} <= {up!r}\n")
+    out.append("Binaries\n")
+    out.extend(f" {name}\n" for name in names[:n][binary].tolist())
+    out.append("End\n")
+    return "".join(out)
 
 
 class LpParseError(ValueError):
@@ -388,34 +507,39 @@ _SECTIONS = {"minimize": "minimize", "maximize": "maximize",
 # A header spelled with the long s or a dotless or dotted capital i, which
 # case-insensitive matching equates with s and i, opens an ignored section.
 _FOLD = str.maketrans({"\u017f": "s", "\u0131": "i", "\u0130": "i"})
-_SENSES = {"<=": "<=", ">=": ">=", "=": "=", "<": "<=", ">": ">="}
+_SENSES = {"<=": _LE, ">=": _GE, "=": _EQ, "<": _LE, ">": _GE}
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|inf)$")
 _PLUS, _MINUS = object(), object()
 
 
-def _token_entry(tok: str):
-    """What an expression token is: a finite number, a variable, or the
-    message of the error it raises."""
+def _token_entry(tok: str, columns: dict[VarId, int]):
+    """What an expression token is: a finite number (float), a variable
+    (its column, numbered in order of first appearance), or the message of
+    the error it raises."""
     if _NUM_RE.match(tok):
         value = float(tok)
         return value if math.isfinite(value) else f"coefficient {tok!r} is not finite"
     try:
-        return parse_var_name(tok)
+        var = parse_var_name(tok)
     except ValueError as exc:
         return str(exc)
+    return columns.setdefault(var, len(columns))
 
 
-def _parse_expr(tokens: list[str], where: str, table: dict) -> dict[VarId, float]:
-    coefs: dict[VarId, float] = {}
+def _parse_expr(tokens: list[str], where: str, table: dict, columns: dict,
+                indices: list, data: list) -> int:
+    """Append an expression's terms to indices and data, a variable's
+    repeated terms summed at its first; returns the number of terms."""
+    coefs: dict[int, float] = {}
     sign = 1.0
     coef = None
     terms = 0
     for tok in tokens:
         entry = table.get(tok)
         if entry is None:
-            entry = table[tok] = _token_entry(tok)
+            entry = table[tok] = _token_entry(tok, columns)
         kind = entry.__class__
-        if kind is VarId:
+        if kind is int:
             value = sign if coef is None else sign * coef
             coefs[entry] = coefs.get(entry, 0.0) + value
             sign, coef = 1.0, None
@@ -435,7 +559,9 @@ def _parse_expr(tokens: list[str], where: str, table: dict) -> dict[VarId, float
     # Finite terms of one variable can still add up beyond the float range.
     if terms > len(coefs) and not all(map(math.isfinite, coefs.values())):
         raise LpParseError(f"{where}: a coefficient sum is not finite")
-    return coefs
+    indices.extend(coefs)
+    data.extend(coefs.values())
+    return len(coefs)
 
 
 def _labeled(lines: list[str]):
@@ -483,7 +609,10 @@ def parse_lp(text: str) -> MipModel:
     """Parse LP text produced by export_lp back into a model; malformed
     text, or a coefficient, right-hand side or bound that is not a number
     (bounds may be infinite, coefficients and right-hand sides may not be
-    NaN, coefficients may not be infinite), raises LpParseError."""
+    NaN, coefficients may not be infinite), raises LpParseError.
+
+    Variables are declared in order of first appearance: in the objective,
+    the rows, the lower then the upper bounds, and the binaries."""
     kind = "UNKNOWN"
     sections: dict[str, list[str]] = {}
     current = None
@@ -512,24 +641,19 @@ def parse_lp(text: str) -> MipModel:
     if "minimize" not in sections:
         raise LpParseError("missing Minimize section")
 
-    # One entry per distinct token of the file, shared by every expression,
-    # bound and binary that uses it.
+    # One entry per distinct token of the file, shared by every expression
+    # that uses it, and one column per distinct variable.
     table: dict[str, object] = {"+": _PLUS, "-": _MINUS}
-
-    def variable(tok: str) -> VarId:
-        entry = table.get(tok)
-        if entry is None:
-            entry = table[tok] = _token_entry(tok)
-        if entry.__class__ is not VarId:
-            raise ValueError(f"unparseable variable name {tok!r}")
-        return entry
+    columns: dict[VarId, int] = {}
 
     obj_items = list(_labeled(sections["minimize"]))
     if len(obj_items) != 1:
         raise LpParseError("objective must carry exactly one label")
-    objective = _parse_expr(obj_items[0][1], "objective", table)
+    obj_cols: list[int] = []
+    obj_vals: list[float] = []
+    _parse_expr(obj_items[0][1], "objective", table, columns, obj_cols, obj_vals)
 
-    constraints: list[Constraint] = []
+    names, senses, rhss, lengths, indices, data = [], [], [], [], [], []
     for name, tokens in _labeled(sections.get("subject to", [])):
         sense = _SENSES.get(tokens[-2]) if len(tokens) >= 2 else None
         rhs_text = tokens[-1] if tokens else ""
@@ -542,8 +666,16 @@ def parse_lp(text: str) -> MipModel:
             raise LpParseError(f"row {name}: bad right-hand side {rhs_text!r}") from None
         if rhs != rhs:
             raise LpParseError(f"row {name}: right-hand side {rhs_text!r} is not a number")
-        coefs = _parse_expr(tokens, f"row {name}", table)
-        constraints.append(Constraint(name, coefs, sense, rhs))
+        lengths.append(_parse_expr(tokens, f"row {name}", table, columns, indices, data))
+        names.append(name)
+        senses.append(sense)
+        rhss.append(rhs)
+
+    ids = list(columns)
+
+    def variable(tok: str) -> VarId:
+        entry = table.get(tok)
+        return ids[entry] if entry.__class__ is int else parse_var_name(tok)
 
     lbs: dict[VarId, float] = {}
     ubs: dict[VarId, float] = {}
@@ -571,20 +703,27 @@ def parse_lp(text: str) -> MipModel:
         except ValueError as exc:
             raise LpParseError(f"bound line {line!r}: {exc}") from None
 
-    binaries: set[VarId] = set()
+    binaries: dict[VarId, None] = {}
     for line in sections.get("binaries", []):
         for tok in line.split():
             try:
-                binaries.add(variable(tok))
+                binaries[variable(tok)] = None
             except ValueError as exc:
                 raise LpParseError(f"Binaries: {exc}") from None
 
-    seen = dict.fromkeys(chain(objective, *[con.coefs for con in constraints],
-                               lbs, ubs, binaries))
-    decls = [VarDecl(var, 0.0, 1.0, True) if var in binaries
-             else VarDecl(var, lbs.get(var, 0.0), ubs.get(var, INF), False)
-             for var in seen]
-    return MipModel(kind, decls, objective, constraints)
+    for var in chain(lbs, ubs, binaries):
+        columns.setdefault(var, len(columns))
+    ids = list(columns)
+    n = len(ids)
+    lb, ub, binary = np.zeros(n), np.full(n, INF), np.zeros(n, dtype=bool)
+    for values, bound in ((lbs, lb), (ubs, ub)):
+        bound[[columns[var] for var in values]] = list(values.values())
+    at = [columns[var] for var in binaries]
+    lb[at], ub[at], binary[at] = 0.0, 1.0, True
+    return MipModel.from_arrays(
+        ids, kind=kind, **_columns(ids), lb=lb, ub=ub, binary=binary, declared=n,
+        obj_cols=np.array(obj_cols, dtype=np.intp), obj_vals=np.array(obj_vals, dtype=float),
+        **_rows(names, senses, rhss, lengths, indices, data))
 
 
 def export_mip_start(solution_vars: VarValueMap) -> str:

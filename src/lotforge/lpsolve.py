@@ -15,25 +15,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .formulations import LpParseError, parse_lp
+from .formulations import SENSES, LpParseError, parse_lp
 
 
-def constraint_matrix(model, index):
-    """CSR matrix of the model's rows over the columns in index, in
-    canonical form (sorted column indices, no duplicates) and without
-    explicit zeros."""
-    import numpy as np
+def constraint_matrix(model):
+    """CSR matrix of the model's rows in canonical form (sorted column
+    indices, no duplicates) and without explicit zeros."""
     from scipy.sparse import csr_matrix
 
-    constraints = model.constraints
-    cols = np.array([index[var] for con in constraints for var in con.coefs],
-                    dtype=np.intp)
-    vals = np.array([coef for con in constraints for coef in con.coefs.values()],
-                    dtype=float)
-    rows = np.repeat(np.arange(len(constraints)), [len(con.coefs) for con in constraints])
-    keep = vals != 0
-    A = csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                   shape=(len(constraints), len(model.variables)))
+    A = csr_matrix((model.data, model.indices, model.indptr),
+                   shape=(len(model.row_names), model.declared), copy=True)
+    A.eliminate_zeros()
     A.sum_duplicates()
     return A
 
@@ -43,35 +35,19 @@ def solve_model(model, relax: bool = False):
     import numpy as np
     from scipy.optimize import LinearConstraint, Bounds, milp
 
-    variables = model.variables
-    index = {d.var: i for i, d in enumerate(variables)}
-    n = len(variables)
-    c = np.zeros(n)
-    for var, coef in model.objective.items():
-        c[index[var]] = coef
-
-    m = len(model.constraints)
-    lo = np.full(m, -np.inf)
-    hi = np.full(m, np.inf)
-    for i, con in enumerate(model.constraints):
-        if con.sense in ("=", ">="):
-            lo[i] = con.rhs
-        if con.sense in ("=", "<="):
-            hi[i] = con.rhs
-
-    lb = np.array([d.lb for d in variables])
-    ub = np.array([d.ub for d in variables])
-    integrality = np.array([0 if relax else (1 if d.binary else 0)
-                            for d in variables])
-
-    kwargs = {"bounds": Bounds(lb, ub), "integrality": integrality}
-    if m:
-        kwargs["constraints"] = LinearConstraint(constraint_matrix(model, index), lo, hi)
+    model.check()
+    c = np.zeros(model.declared)
+    c[model.obj_cols] = model.obj_vals
+    integrality = np.zeros(model.declared, dtype=int) if relax else model.binary.astype(int)
+    kwargs = {"bounds": Bounds(model.lb, model.ub), "integrality": integrality}
+    if model.row_names:
+        lo = np.where(model.sense == SENSES.index("<="), -np.inf, model.rhs)
+        hi = np.where(model.sense == SENSES.index(">="), np.inf, model.rhs)
+        kwargs["constraints"] = LinearConstraint(constraint_matrix(model), lo, hi)
     res = milp(c, **kwargs)
     if not res.success:
         return None
-    values = {d.var: float(res.x[i]) for i, d in enumerate(variables)}
-    return float(res.fun), values
+    return float(res.fun), dict(zip(model.var_ids, res.x.tolist()))
 
 
 def main(argv=None) -> int:

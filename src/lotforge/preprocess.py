@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulations import MipModel, VarDecl
+from .formulations import FAMILIES, MipModel
 from .instance import Instance
 
 
@@ -58,21 +58,19 @@ def compute_removals(instance: Instance) -> RemovalSet:
 
 
 def apply_removals(mc_model: MipModel, removals: RemovalSet) -> MipModel:
-    """Fix removed w2 variables to zero by zeroing their upper bounds.
+    """Fix removed w2 variables to zero by zeroing their bounds.
 
     Variables are kept (with zero bounds) so exported LP files keep a
     stable name set."""
     if mc_model.kind != "MC":
         raise ValueError(f"expected an MC model, got {mc_model.kind}")
-    fixed = {("w", 2, r, k, t) for r, k, t in removals.triples}
-    decls = []
-    for decl in mc_model.variables:
-        var = decl.var
-        if (var.family, var.b, var.idx, var.k, var.t) in fixed:
-            decls.append(VarDecl(var, 0.0, 0.0, decl.binary))
-        else:
-            decls.append(decl)
-    return MipModel(mc_model.kind, decls, mc_model.objective, mc_model.constraints)
+    n = mc_model.declared
+    w2 = np.flatnonzero((mc_model.family[:n] == FAMILIES.index("w")) & (mc_model.b[:n] == 2))
+    keys = zip(*(a[w2].tolist() for a in (mc_model.idx, mc_model.k, mc_model.t)))
+    fixed = [j for j, key in zip(w2.tolist(), keys) if key in removals.triples]
+    lb, ub = mc_model.lb.copy(), mc_model.ub.copy()
+    lb[fixed] = ub[fixed] = 0.0
+    return mc_model.replace(lb=lb, ub=ub)
 
 
 def removal_report_csv(removals: RemovalSet) -> str:

@@ -141,13 +141,17 @@ def convex_combination(points: list[VarValueMap],
             for k in keys}
 
 
-def one_cut_round(instance: Instance, model: MipModel, seed: int = 0) -> MipModel:
-    """The model with the cuts of one round of all six families appended,
-    separated at a fractional point drawn once from the seed and replayed:
-    each variable uniform in [0, ub], or in [0, 10] when ub is infinite."""
+def one_round_cuts(instance: Instance, model: MipModel, seed: int = 0) -> list[cuts.Cut]:
+    """The cuts of one round of all six families, separated at a fractional
+    point drawn once from the seed and replayed: each variable uniform in
+    [0, ub], or in [0, 10] when ub is infinite."""
     rng = np.random.default_rng(seed)
     point = {d.var: float(rng.random() * (d.ub if d.ub != math.inf else 10.0))
              for d in model.variables}
     config = cuts.CutConfig(max_rounds=1, two_level_every=1, three_level_every=1)
-    result = cuts.cutting_plane_loop(instance, model, lambda _model: point, config)
-    return cuts.add_cuts_to_model(model, result.cuts)
+    return cuts.cutting_plane_loop(instance, model, lambda _model: point, config).cuts
+
+
+def one_cut_round(instance: Instance, model: MipModel, seed: int = 0) -> MipModel:
+    """The model with the cuts of one_round_cuts appended."""
+    return cuts.add_cuts_to_model(model, one_round_cuts(instance, model, seed))

@@ -1,6 +1,7 @@
 """The LP text writer and reader as they were before their name and token
 tables: the reference that the differential tests in test_formulations.py
-compare export_lp and parse_lp against. Kept unchanged on purpose."""
+compare export_lp and parse_lp against. Kept unchanged on purpose, but for
+the declaration order of variables that only the Binaries section names."""
 
 from __future__ import annotations
 
@@ -180,11 +181,12 @@ def parse_lp(text: str) -> MipModel:
         except ValueError as exc:
             raise LpParseError(f"bound line {line!r}: {exc}") from None
 
-    binaries: set[VarId] = set()
+    # In order of first appearance, so that no order depends on the hash seed.
+    binaries: dict[VarId, None] = {}
     for line in sections.get("binaries", []):
         for tok in line.split():
             try:
-                binaries.add(parse_var_name(tok))
+                binaries[parse_var_name(tok)] = None
             except ValueError as exc:
                 raise LpParseError(f"Binaries: {exc}") from None
 

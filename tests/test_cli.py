@@ -1,5 +1,8 @@
+import os
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,13 +70,18 @@ def test_not_utf8_instance_exit_code(tmp_path, capsys):
      "--cut-rounds", "-1"],
     ["export", "{inst}", "-o", "{out}", "--cuts", "--point", "{point}",
      "--cut-tol", "0"],
+    ["export", "{inst}", "-o", "{out}", "--cuts", "--point", "{point}",
+     "--cut-tol", "nan"],
+    ["export", "{inst}", "-o", "{out}", "--cuts", "--point", "{point}",
+     "--cut-tol", "inf"],
     ["bench", "{dir}", "--iters", "0"],
     ["gen", "--retailers", "2", "--warehouses", "5", "--periods", "3"],
     ["gen", "--retailers", "2", "--warehouses", "0", "--periods", "3",
      "-o", "{out}"],
     ["gen", "--retailers", "2", "--warehouses", "1", "--periods", "0",
      "-o", "{out}"],
-], ids=["iters-0", "alpha-nan", "cut-rounds-neg", "cut-tol-0", "bench-iters-0",
+], ids=["iters-0", "alpha-nan", "cut-rounds-neg", "cut-tol-0", "cut-tol-nan",
+        "cut-tol-inf", "bench-iters-0",
         "more-warehouses", "warehouses-0", "periods-0"])
 def test_bad_option_value_exit_code(tmp_path, capsys, argv):
     inst = gen_file(tmp_path)
@@ -94,8 +102,9 @@ def test_bad_option_value_exit_code(tmp_path, capsys, argv):
     b"Minimize\n obj: + inf x_p_t1\nEnd\n",
     b"Minimize\n obj: x_p_t1\nSubject To\n c1: x_p_t1 >= nan\nEnd\n",
     b"Minimize\n obj: x_p_t1\nBounds\n x_p_t1 <= nan\nEnd\n",
+    b"Minimize\n obj: x_r" + b"9" * 19 + b"_t1\nEnd\n",
 ], ids=["missing", "not-utf8", "bad-rhs", "bad-binary-name", "inf-coefficient",
-        "nan-rhs", "nan-bound"])
+        "nan-rhs", "nan-bound", "index-beyond-int64"])
 def test_lp_solve_unreadable_file_exit_code(tmp_path, capsys, text):
     lp = tmp_path / "model.lp"
     if text is not None:
@@ -122,15 +131,17 @@ def test_constraint_matrix_matches_lil_matrix(kind):
         model = one_cut_round(ins, model)
         assert len(model.constraints) > len(fm.build_3lf(ins).constraints)
     v = [d.var for d in model.variables]
-    model.constraints.append(fm.Constraint(
-        "mixed", {v[3]: 0.0, v[0]: -0.0, v[2]: 3, v[1]: np.float64(-1.5)}, "<=", 1.0))
+    # The snapshots are read-only: a row is added by assembling a new model.
+    model = fm.MipModel(model.kind, model.variables, model.objective, model.constraints + [
+        fm.Constraint("mixed", {v[3]: 0.0, v[0]: -0.0, v[2]: 3, v[1]: np.float64(-1.5)},
+                      "<=", 1.0)])
     index = {var: i for i, var in enumerate(v)}
     lil = sparse.lil_matrix((len(model.constraints), len(v)))
     for i, con in enumerate(model.constraints):
         for var, coef in con.coefs.items():
             lil[i, index[var]] = coef
     expected = lil.tocsr()
-    got = lpsolve.constraint_matrix(model, index)
+    got = lpsolve.constraint_matrix(model)
     assert got.shape == expected.shape and got.has_canonical_format
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
@@ -248,6 +259,53 @@ def test_mip_start_export(tmp_path):
                    "--mip-start", str(mst), "--seed", "1"])
     assert rc == 0
     assert "y_p_t1" in mst.read_text()
+
+
+@pytest.mark.parametrize("formulation", ["std", "3lf", "mc"])
+def test_mip_start_names_only_exported_variables(tmp_path, formulation):
+    path = gen_file(tmp_path)
+    lp, mst = tmp_path / "m.lp", tmp_path / "warm.mst"
+    rc = cli.main(["export", str(path), "-o", str(lp), "--formulation", formulation,
+                   "--mip-start", str(mst), "--seed", "1"])
+    assert rc == 0
+    declared = {d.var.name() for d in parse_lp(lp.read_text()).variables}
+    names = [line.split()[0] for line in mst.read_text().splitlines()]
+    assert names and set(names) <= declared
+    if formulation == "std":  # every STD variable, as before
+        ins = read_instance(path.read_text())
+        best = run(ins, HeuristicConfig(seed=1)).best
+        point = fm.std_point_from_solution(ins, best.x, best.y, best.s)
+        assert mst.read_text() == fm.export_mip_start(point)
+    else:
+        assert {name[0] for name in names} == {"y"}
+
+
+# Variables that only the Binaries section names: their declaration order,
+# and so the solution file's line order, must not depend on the hash seed.
+_BINARIES_ONLY = "Minimize\n obj: x_p_t1\nBinaries\n y_p_t1 y_p_t2 y_p_t3 y_w0_t1\nEnd\n"
+
+
+def test_binaries_keep_text_order_under_any_hash_seed(tmp_path):
+    lp = tmp_path / "binaries.lp"
+    lp.write_text(_BINARIES_ONLY)
+    src = str(Path(fm.__file__).resolve().parents[1])
+    declare = ("import sys; from lotforge.formulations import parse_lp; "
+               "print(*(d.var.name() for d in parse_lp(open(sys.argv[1]).read()).variables))")
+    orders, solutions = [], []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", declare, str(lp)], env=env,
+                             capture_output=True, text=True, check=True)
+        orders.append(out.stdout.split())
+        if HAS_SOLVER:
+            sol = tmp_path / f"seed{hash_seed}.sol"
+            subprocess.run(LP_SOLVE_CMD + [str(lp), str(sol)], env=env, check=True)
+            solutions.append([line.split()[0] for line in sol.read_text().splitlines()])
+    names = ["x_p_t1", "y_p_t1", "y_p_t2", "y_p_t3", "y_w0_t1"]
+    assert orders == [names, names]
+    if HAS_SOLVER:
+        assert solutions == [["objective"] + names] * 2
 
 
 def test_bench_table_and_markdown(tmp_path, capsys):

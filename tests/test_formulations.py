@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 
@@ -229,6 +230,23 @@ def test_lp_roundtrip_all_kinds():
         assert again.bounds() == back.bounds()
 
 
+def test_model_objects_grow_with_columns_not_nonzeros():
+    # A model is a column table: building, writing and reading one leaves
+    # one VarId per column of the parsed model alive, and no object per
+    # row or term (a 20/4/12 MC model has about three terms per column).
+    ins = generate(InstanceSpec(20, 4, 12, seed=0))
+    gc.collect()
+    before = len(gc.get_objects())
+    model = fm.build_mc(ins)
+    parsed = fm.parse_lp(fm.export_lp(model))
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    columns, rows, nnz = len(parsed.family), len(parsed.row_names), len(parsed.data)
+    assert (columns, rows, nnz) == (len(model.family), len(model.row_names), len(model.data))
+    assert nnz > 2.5 * columns and rows > columns
+    assert grown < 1.2 * columns
+
+
 def test_lp_export_deterministic():
     rng = np.random.default_rng(7)
     ins = tiny_instance(rng)
@@ -394,9 +412,10 @@ def test_parse_lp_section_headers_match_reference(header):
     " obj: x_p_t1\nBounds\n x_p_t1 free\n y_p_t1 = 2\n 1 <= s_p_t1 <= 3\n s_p_t1 3",
     " obj: x_p_t1\nBinaries\n y_p_t1 x_p_t1\n 5",
     "x_p_t1 + y_p_t1",
+    " obj: x_p_t1 + x_r9999999999999999999_t1",
 ], ids=["repeated-variable", "signed-zeros", "sign-drops-number", "labels-across-lines",
         "two-senses", "strict-senses", "no-rhs", "dangling-number",
-        "trailing-number", "bounds", "binaries", "no-label"])
+        "trailing-number", "bounds", "binaries", "no-label", "index-beyond-int64"])
 def test_parse_lp_hand_written_text_matches_reference(text):
     _assert_parses_like_reference(f"Minimize\n{text}\nEnd\n", same_message=True)
 
