@@ -71,7 +71,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("LOTFORGE_SEED", "0"))
+    try:
+        return int(os.environ.get("LOTFORGE_SEED", "0"))
+    except ValueError as exc:
+        raise _UsageError(f"LOTFORGE_SEED must be an integer ({exc})") from None
 
 
 def _checked(make, *args, **kwargs):
@@ -144,12 +147,15 @@ def _cmd_pre(args) -> int:
 def make_command_lp_source(template: str, relax: bool = True):
     """lp_source callback that shells out to an external LP solver.
 
-    The template must contain {lp} and {sol} placeholders and may contain
-    {relax}, which becomes --relax when relax is true and nothing
-    otherwise. The command is expected to read the LP file and write
-    '<name> <value>' lines (an 'objective <value>' line is skipped if
-    present). When it fails, one line with its exit code and the last
-    line of its stderr goes to stderr."""
+    The template must contain {lp} and {sol} and may contain {relax}
+    (--relax when relax is true, else nothing); any other field or a stray
+    brace raises ValueError. The command reads the LP file and writes
+    '<name> <value>' lines (an 'objective <value>' line is skipped). When
+    it fails, its exit code and last stderr line go to stderr."""
+    try:
+        template.format(lp="", sol="", relax="")
+    except (KeyError, IndexError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{template!r}: use only {{lp}}, {{sol}} and {{relax}} ({exc})") from None
 
     def source(model: fm.MipModel):
         with tempfile.TemporaryDirectory(prefix="lotforge_") as tmp:
@@ -198,7 +204,7 @@ def _cmd_export(args) -> int:
         if args.formulation == "mc":
             raise _UsageError("--cuts applies to std and 3lf formulations")
         if args.lp_solver_cmd:
-            source = make_command_lp_source(args.lp_solver_cmd)
+            source = _checked(make_command_lp_source, args.lp_solver_cmd)
         elif args.point:
             replay = read_point_file(Path(args.point).read_text())
             source = lambda _model: replay
@@ -349,9 +355,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

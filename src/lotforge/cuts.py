@@ -16,7 +16,9 @@ which puts the slot in S), which yields the most violated member. One
 kernel computes these minima for every chain and l at once and takes
 prefix sums along the periods, so every family sums segment totals over
 all its split points in a few array operations (Barany, Van Roy and
-Wolsey's separation, extended along the levels).
+Wolsey's separation, extended along the levels). A separation returns
+its cuts as one row block, which add_cuts_to_model maps to a model's
+columns once; Cut.coefs is a read-only view.
 
 The driver never solves LPs itself: it pulls relaxation points from an
 injected callback and accumulates all violated cuts, deduplicated by
@@ -28,11 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .formulations import Constraint, MipModel, VarId, VarValueMap, objective_value
+from .formulations import SENSES, MipModel, VarId, VarValueMap, _retailer_paths, objective_value
 from .instance import Instance, cumulative_demand, facility_keys
 
 DEFAULT_VIOLATION_TOL = 10.0
@@ -55,13 +58,25 @@ class CutConfig:
                              "(the violation tolerance also finite)")
 
 
-@dataclass
 class Cut:
-    family: str  # SL_STD, TL_STD, THL_STD, SL_3LF, TL_3LF, THL_3LF
-    params: tuple
-    coefs: dict[VarId, float]
-    rhs: float
-    sense: str = ">="
+    """The inequality sum_i vals[i] * slot_vars[slots[i]] >= rhs of a family
+    member, keyed by (family, params). Cut(family, params, coefs, rhs) takes
+    a dict; a separation passes terms=(slot_vars, slots, vals) instead, and
+    its cuts share the slot list and view two shared term arrays."""
+
+    __slots__ = ("family", "params", "rhs", "slot_vars", "slots", "vals")
+    sense = ">="
+
+    def __init__(self, family: str, params: tuple, coefs, rhs: float, terms=None):
+        self.family, self.params, self.rhs = family, params, rhs
+        self.slot_vars, self.slots, self.vals = terms or (
+            list(coefs), np.arange(len(coefs)), np.array(list(coefs.values()), dtype=float))
+
+    @property
+    def coefs(self) -> Mapping[VarId, float]:
+        """The terms as a read-only dict, built on access."""
+        return MappingProxyType(dict(zip(map(self.slot_vars.__getitem__, self.slots.tolist()),
+                                         self.vals.tolist())))
 
     def key(self) -> tuple:
         return (self.family, self.params)
@@ -80,50 +95,36 @@ def eval_inequality(cut: Cut, point: VarValueMap) -> float:
 # --------------------------------------------------------------------------
 # Chains and the separation kernel shared by every family.
 
-class _Row:
-    """The variables VarId(family, b, idx, k) of one chain, built on access."""
-
-    __slots__ = ("family", "b", "idx")
-
-    def __init__(self, family: str, b: int, idx: int):
-        self.family, self.b, self.idx = family, b, idx
-
-    def __getitem__(self, k: int) -> VarId:
-        return VarId(self.family, self.b, self.idx, k)
-
-
-class _Chain(NamedTuple):
-    """One row of period slots: slot k pairs flow variable x[k] with setup
-    variable y[k], and d[k, l] is the demand the chain serves over k..l."""
-
-    x: Sequence[VarId]
-    y: Sequence[VarId]
-    d: np.ndarray
+def _std_chains(instance: Instance, cum) -> tuple[list[VarId], np.ndarray]:
+    """Chains (slot_vars, D), C rows of T period slots: slot k of chain c
+    pairs flow variable slot_vars[c*T + k] with setup variable
+    slot_vars[(C + c)*T + k], and D[c, k, l] is the demand c serves over
+    k..l. Chain fac is facility fac's own x and y in the standard space."""
+    T = instance.num_periods
+    b, idx = (np.repeat(a, T).tolist() for a in (instance.level, instance.ordinal))
+    k = list(range(T)) * instance.num_facilities
+    return ([*map(VarId, itertools.repeat("x"), b, idx, k),
+             *map(VarId, itertools.repeat("y"), b, idx, k)], cum.table)
 
 
-def _std_chain(instance: Instance, cum, fac: int) -> _Chain:
-    """Facility fac's own x and y in the standard space."""
-    b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
-    return _Chain(_Row("x", b, idx), _Row("y", b, idx), cum.table[fac])
-
-
-def _lf3_chain(instance: Instance, cum, r: int, b: int) -> _Chain:
-    """Retailer r's level-b flow with the setup of its level-b predecessor
-    on its path (plant, r's warehouse, r itself). 3LF chain r*3 + b."""
-    fac = instance.retailer(r)
-    pred = (0, instance.parent[fac], fac)[b]
-    return _Chain(_Row("x3", b, r), _Row("y", b, int(instance.ordinal[pred])),
-                  cum.table[fac])
+def _lf3_chains(instance: Instance, cum) -> tuple[list[VarId], np.ndarray]:
+    """As _std_chains; chain 3r + b is retailer r's level-b flow with the
+    setup of its level-b predecessor on its path (plant, warehouse, r)."""
+    T, path = instance.num_periods, _retailer_paths(instance).ravel()
+    c = np.repeat(np.arange(len(path)), T)
+    b, k = (c % 3).tolist(), list(range(T)) * len(path)
+    return ([*map(VarId, itertools.repeat("x3"), b, (c // 3).tolist(), k),
+             *map(VarId, itertools.repeat("y"), b, instance.ordinal[path][c].tolist(), k)],
+            cum.table[np.repeat(path[2::3], 3)])
 
 
 class _Slots:
     """The chains' values at a relaxation point; a missing variable reads 0."""
 
-    def __init__(self, chains, point: VarValueMap):
-        self.D = np.array([ch.d for ch in chains])
-        T = self.D.shape[1]
-        self.X = np.array([[point.get(ch.x[k], 0.0) for k in range(T)] for ch in chains])
-        self.Y = np.array([[point.get(ch.y[k], 0.0) for k in range(T)] for ch in chains])
+    def __init__(self, chains: tuple, point: VarValueMap):
+        slot_vars, self.D = chains
+        values = np.array([point.get(var, 0.0) for var in slot_vars], dtype=float)
+        self.X, self.Y = values.reshape(2, *self.D.shape[:2])
 
     def at(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """Prefix sums P and S bits of every chain for horizon end l.
@@ -151,35 +152,47 @@ def _row_masks(in_S: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _bounds(split: tuple, l: int) -> tuple:
-    """Tier i of a member with these split points covers periods
-    bounds[i]..bounds[i + 1] - 1."""
-    return (0, *(s + 1 for s in split), l + 1)
+def _cuts(family: str, chains: tuple, members: list) -> list[Cut]:
+    """The cuts of members (key, l, split, tiers, masks) as one row block. A
+    tier is one chain with an int mask, or a list of chains with a tuple of
+    masks. No chain occurs twice in a member, so every variable gets one
+    term, tier by tier, chain by chain, period by period: d_{k,l} y_k for k
+    in S, else x_k. The rhs is the first tier chain's demand over 0..l."""
+    if not members:
+        return []
+    chain, masks, widths = [], [], []
+    for *_, tiers, member_masks in members:
+        for tier, mask in zip(tiers, member_masks):
+            tier, mask = (tier, mask) if isinstance(tier, list) else ([tier], [mask])
+            chain += tier
+            masks += mask
+            widths.append(len(tier))
+    # Tier i of member j covers periods bounds[j, i]..bounds[j, i + 1] - 1
+    # with one segment per chain, and a segment has one term per period.
+    slot_vars, D = chains
+    C, T = D.shape[:2]
+    bounds = np.array([(-1, *split, l) for _, l, split, *_ in members]) + 1
+    ls, chain = bounds[:, -1] - 1, np.array(chain)
+    counts = np.reshape(widths, (len(members), -1)).sum(axis=1)  # segments per member
+    lo = np.repeat(bounds[:, :-1], widths)
+    length = np.repeat(bounds[:, 1:], widths) - lo
+    ends = np.cumsum(length)
+    x = np.arange(ends[-1]) + np.repeat(chain * T + lo - ends + length, length)  # c*T + k
+    nb = (T + 7) // 8  # bytes per S mask
+    packed = b"".join(map(int.to_bytes, masks, itertools.repeat(nb), itertools.repeat("little")))
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    in_S = bits[x + np.repeat(np.arange(len(chain)) * 8 * nb - chain * T, length)] == 1
+    vals = np.where(in_S, D.ravel()[x * T + np.repeat(np.repeat(ls, counts), length)], 1.0)
+    slots = x + C * T * in_S
+    last = np.cumsum(counts)
+    ptr = [0] + ends[last - 1].tolist()
+    rhs = D[chain[last - counts], 0, ls].tolist()
+    return [Cut(family, key + (l, *split) + masks, None, b,
+                (slot_vars, slots[p:q], vals[p:q]))
+            for (key, l, split, _, masks), b, p, q in zip(members, rhs, ptr, ptr[1:])]
 
 
-def _cut(family: str, key: tuple, l: int, split: tuple, tiers: tuple,
-         masks: tuple, chains) -> Cut:
-    """The cut of one family member.
-
-    A tier is one chain with an int mask, or a list of chains with a tuple
-    of masks. No chain occurs twice in a member, so every variable gets
-    one term: d_{k,l} y_k for k in S, else x_k. The rhs is the demand of
-    the first tier's chain over 0..l."""
-    bounds = _bounds(split, l)
-    coefs: dict[VarId, float] = {}
-    for i, (tier, mask) in enumerate(zip(tiers, masks)):
-        for c, S_mask in (zip(tier, mask) if isinstance(tier, list) else [(tier, mask)]):
-            x, y, d = chains[c]
-            for k in range(bounds[i], bounds[i + 1]):
-                if S_mask >> k & 1:
-                    coefs[y[k]] = d[k, l]
-                else:
-                    coefs[x[k]] = 1.0
-    return Cut(family, key + (l, *split) + masks, coefs,
-               float(chains[tiers[0]].d[0, l]))
-
-
-def _separate(family: str, units: list, chains: list, point: VarValueMap,
+def _separate(family: str, units: list, chains: tuple, point: VarValueMap,
               tol: float) -> list[Cut]:
     """Every member of a family violated by more than tol at point.
 
@@ -189,49 +202,38 @@ def _separate(family: str, units: list, chains: list, point: VarValueMap,
     ordered by unit, then l, then split points."""
     if not units:
         return []
-    T = len(chains[0].d)
-    # The cuts reuse the chains' variables: build each VarId once per call.
-    chains = [_Chain([ch.x[k] for k in range(T)], [ch.y[k] for k in range(T)], ch.d)
-              for ch in chains]
     slots = _Slots(chains, point)
+    T = slots.D.shape[1]
     m = len(units[0][1])
-    gathers = []  # per tier: chain rows to take and reduceat group starts
-    for i in range(m):
-        col = [tiers[i] for _, tiers in units]
-        if isinstance(col[0], list):
-            starts = np.cumsum([0] + [len(t) for t in col[:-1]])
-            gathers.append((np.concatenate(col), starts))
-        else:
-            gathers.append((np.array(col), None))
-    first = gathers[0][0]
-    hits, row_masks, splits_at = [np.empty((3, 0), dtype=np.intp)], {}, {}
+    # Per tier: the chain rows to take and their reduceat group starts.
+    cols = [[t if isinstance(t, list) else [t] for t in col]
+            for col in zip(*(tiers for _, tiers in units))]
+    gathers = [(np.concatenate(col), np.cumsum([0] + list(map(len, col[:-1])))) for col in cols]
+    first = gathers[0][0]  # the first tier is one chain
+    hits, row_masks, splits_at, spans_at = [], {}, {}, {}
     for l in range(m - 1, T):
         P, in_S = slots.at(l)
         splits_at[l] = list(itertools.combinations(range(l), m - 1))
-        bounds = np.array([_bounds(sp, l) for sp in splits_at[l]])
+        bounds = np.array([(-1, *split, l) for split in splits_at[l]]) + 1
         total = 0.0
         for i, (rows, starts) in enumerate(gathers):
-            G = P[rows] if starts is None else np.add.reduceat(P[rows], starts, axis=0)
+            G = np.add.reduceat(P[rows], starts, axis=0)
             total = total + (G[:, bounds[:, i + 1]] - G[:, bounds[:, i]])
         rhs = slots.D[first, 0, l]
         u, j = np.nonzero((rhs > tol)[:, None] & (rhs[:, None] - total > tol))
         if len(u):
-            hits.append(np.stack([u, np.full_like(u, l), j]))
+            hits += zip(u.tolist(), itertools.repeat(l), j.tolist())
             row_masks[l] = _row_masks(in_S)
-    cuts = []
-    for u, l, j in sorted(map(tuple, np.concatenate(hits, axis=1).T.tolist())):
+            spans_at[l] = [[(1 << b) - (1 << a) for a, b in zip(bd, bd[1:])]
+                           for bd in bounds.tolist()]
+    members = []
+    for u, l, j in sorted(hits):
         key, tiers = units[u]
-        split = splits_at[l][j]
-        bounds = _bounds(split, l)
-        masks = []
-        for i, tier in enumerate(tiers):
-            span = (1 << bounds[i + 1]) - (1 << bounds[i])
-            if isinstance(tier, list):
-                masks.append(tuple(row_masks[l][c] & span for c in tier))
-            else:
-                masks.append(row_masks[l][tier] & span)
-        cuts.append(_cut(family, key, l, split, tiers, tuple(masks), chains))
-    return cuts
+        masks = row_masks[l]
+        members.append((key, l, splits_at[l][j], tiers, tuple(
+            tuple(masks[c] & span for c in tier) if isinstance(tier, list) else masks[tier] & span
+            for tier, span in zip(tiers, spans_at[l][j]))))
+    return _cuts(family, chains, members)
 
 
 # --------------------------------------------------------------------------
@@ -249,15 +251,6 @@ def _two_level_pairs(instance: Instance) -> list[tuple[int, list[int]]]:
     return pairs
 
 
-def _std_chains(instance: Instance, cum) -> list[_Chain]:
-    return [_std_chain(instance, cum, fac) for fac in range(instance.num_facilities)]
-
-
-def _lf3_chains(instance: Instance, cum) -> list[_Chain]:
-    return [_lf3_chain(instance, cum, r, b)
-            for r in range(instance.num_retailers) for b in range(3)]
-
-
 def separate_single_level_std(instance: Instance, point: VarValueMap,
                               tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     cum = cumulative_demand(instance)
@@ -266,8 +259,8 @@ def separate_single_level_std(instance: Instance, point: VarValueMap,
 
 
 def make_single_level_std_cut(instance, cum, fac, l, S_mask) -> Cut:
-    return _cut("SL_STD", facility_keys(instance)[fac], l, (), (fac,), (S_mask,),
-                {fac: _std_chain(instance, cum, fac)})
+    return _cuts("SL_STD", _std_chains(instance, cum),
+                 [(facility_keys(instance)[fac], l, (), (fac,), (S_mask,))])[0]
 
 
 def separate_two_level_std(instance: Instance, point: VarValueMap,
@@ -286,9 +279,9 @@ def make_two_level_std_cut(instance, cum, fac, lower_level, l, li,
                           & ((instance.parent == fac) | (fac == 0))).tolist()
     if not level[fac] < lower_level <= 2 or not succ:
         raise ValueError(f"no successors of facility {fac} at level {lower_level}")
-    chains = {j: _std_chain(instance, cum, j) for j in [fac] + succ}
-    return _cut("TL_STD", facility_keys(instance)[fac] + (lower_level,), l, (li,),
-                (fac, succ), (upper_mask, succ_masks), chains)
+    return _cuts("TL_STD", _std_chains(instance, cum),
+                 [(facility_keys(instance)[fac] + (lower_level,), l, (li,), (fac, succ),
+                   (upper_mask, succ_masks))])[0]
 
 
 def _three_level_std_tiers(instance: Instance) -> tuple:
@@ -305,8 +298,9 @@ def separate_three_level_std(instance: Instance, point: VarValueMap,
 
 def make_three_level_std_cut(instance, cum, l, lp, lw, plant_mask,
                              w_masks, r_masks) -> Cut:
-    return _cut("THL_STD", (), l, (lp, lw), _three_level_std_tiers(instance),
-                (plant_mask, w_masks, r_masks), _std_chains(instance, cum))
+    return _cuts("THL_STD", _std_chains(instance, cum),
+                 [((), l, (lp, lw), _three_level_std_tiers(instance),
+                   (plant_mask, w_masks, r_masks))])[0]
 
 
 def separate_single_level_3lf(instance: Instance, point: VarValueMap,
@@ -318,8 +312,8 @@ def separate_single_level_3lf(instance: Instance, point: VarValueMap,
 
 
 def make_single_level_3lf_cut(instance, cum, r, b, l, S_mask) -> Cut:
-    return _cut("SL_3LF", (r, b), l, (), (3 * r + b,), (S_mask,),
-                {3 * r + b: _lf3_chain(instance, cum, r, b)})
+    return _cuts("SL_3LF", _lf3_chains(instance, cum),
+                 [((r, b), l, (), (3 * r + b,), (S_mask,))])[0]
 
 
 def separate_two_level_3lf(instance: Instance, point: VarValueMap,
@@ -332,9 +326,8 @@ def separate_two_level_3lf(instance: Instance, point: VarValueMap,
 
 
 def make_two_level_3lf_cut(instance, cum, r, b, b2, l, lb, m1, m2) -> Cut:
-    chains = {3 * r + j: _lf3_chain(instance, cum, r, j) for j in (b, b2)}
-    return _cut("TL_3LF", (r, b, b2), l, (lb,), (3 * r + b, 3 * r + b2),
-                (m1, m2), chains)
+    return _cuts("TL_3LF", _lf3_chains(instance, cum),
+                 [((r, b, b2), l, (lb,), (3 * r + b, 3 * r + b2), (m1, m2))])[0]
 
 
 def separate_three_level_3lf(instance: Instance, point: VarValueMap,
@@ -346,9 +339,8 @@ def separate_three_level_3lf(instance: Instance, point: VarValueMap,
 
 
 def make_three_level_3lf_cut(instance, cum, r, l, l0, l1, m0, m1, m2) -> Cut:
-    chains = {3 * r + b: _lf3_chain(instance, cum, r, b) for b in range(3)}
-    return _cut("THL_3LF", (r,), l, (l0, l1), (3 * r, 3 * r + 1, 3 * r + 2),
-                (m0, m1, m2), chains)
+    return _cuts("THL_3LF", _lf3_chains(instance, cum),
+                 [((r,), l, (l0, l1), (3 * r, 3 * r + 1, 3 * r + 2), (m0, m1, m2))])[0]
 
 
 # --------------------------------------------------------------------------
@@ -360,9 +352,19 @@ _THREE = {"STD": separate_three_level_std, "3LF": separate_three_level_3lf}
 
 
 def add_cuts_to_model(model: MipModel, cuts: list[Cut]) -> MipModel:
-    """New model with the cut pool appended as named >= rows."""
-    return model.with_rows(Constraint(f"cut_{cut.family}_{n}", cut.coefs, cut.sense, cut.rhs)
-                           for n, cut in enumerate(cuts))
+    """New model with the cut pool appended as named >= rows. Each distinct
+    slot list is mapped to the model's columns once, whatever their order."""
+    column = dict(zip(model.var_ids, range(len(model.family)))).__getitem__
+    lists = {id(cut.slot_vars): cut.slot_vars for cut in cuts}
+    columns = {key: np.array(list(map(column, vs)), dtype=np.intp) for key, vs in lists.items()}
+    return model.with_rows(
+        row_names=[f"cut_{cut.family}_{n}" for n, cut in enumerate(cuts)],
+        sense=np.full(len(cuts), SENSES.index(Cut.sense), dtype=np.int8),
+        rhs=np.array([cut.rhs for cut in cuts], dtype=float),
+        indptr=np.r_[0, np.cumsum([len(cut.slots) for cut in cuts], dtype=np.intp)],
+        indices=np.concatenate([np.empty(0, dtype=np.intp)]
+                               + [columns[id(cut.slot_vars)][cut.slots] for cut in cuts]),
+        data=np.concatenate([np.empty(0)] + [cut.vals for cut in cuts]))
 
 
 @dataclass

@@ -120,15 +120,6 @@ def _rows(names, sense, rhs, lengths, indices, data) -> dict:
             "indices": np.array(indices, dtype=np.intp), "data": np.array(data, dtype=float)}
 
 
-def _constraint_rows(rows: list[Constraint], column) -> dict:
-    """The row fields of Constraints; column(var) is a term's column."""
-    coefs = [r.coefs for r in rows]
-    return _rows([r.name for r in rows], [_SENSE[r.sense] for r in rows],
-                 [r.rhs for r in rows], list(map(len, coefs)),
-                 list(map(column, chain.from_iterable(coefs))),
-                 list(chain.from_iterable(map(dict.values, coefs))))
-
-
 def _floats(values: np.ndarray) -> list[float]:
     """values as Python floats that share one object per bit pattern, which
     keeps large snapshots small."""
@@ -163,7 +154,10 @@ class MipModel:
             return where[var]
 
         obj_cols = [column(var) for var in objective]
-        rows = _constraint_rows(list(constraints), column)
+        names, coefs, senses, rhs = tuple(zip(*constraints)) or ((),) * 4
+        rows = _rows(list(names), [_SENSE[sense] for sense in senses], rhs,
+                     list(map(len, coefs)), list(map(column, chain.from_iterable(coefs))),
+                     list(chain.from_iterable(map(dict.values, coefs))))
         pad = [(0.0, INF, False)] * (len(ids) - len(variables))
         bounds = np.array([d[1:] for d in variables] + pad, dtype=float).reshape(-1, 3)
         lb, ub, binary = bounds.T
@@ -187,14 +181,12 @@ class MipModel:
         return MipModel.from_arrays(**{**{name: getattr(self, name) for name in _FIELDS},
                                        **changes})
 
-    def with_rows(self, rows) -> MipModel:
-        """A model with these Constraints appended; each term's variable
-        must be one of the model's columns."""
-        column = dict(zip(self.var_ids, range(len(self.family)))).__getitem__
-        new = _constraint_rows(list(rows), column)
-        return self.replace(row_names=self.row_names + new.pop("row_names"),
-                            indptr=np.r_[self.indptr, self.indptr[-1] + new.pop("indptr")[1:]],
-                            **{name: np.r_[getattr(self, name), a] for name, a in new.items()})
+    def with_rows(self, row_names, sense, rhs, indptr, indices, data) -> MipModel:
+        """A model with a block of rows (the table's row fields) appended."""
+        return self.replace(row_names=self.row_names + row_names,
+                            sense=np.r_[self.sense, sense], rhs=np.r_[self.rhs, rhs],
+                            indptr=np.r_[self.indptr, self.indptr[-1] + indptr[1:]],
+                            indices=np.r_[self.indices, indices], data=np.r_[self.data, data])
 
     def map_columns(self, fn) -> list:
         """fn(family, b, idx, k, t) of every column."""

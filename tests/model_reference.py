@@ -1,15 +1,18 @@
 """The model builders, removals and cut rows as they were before models
-became column tables: dict-based build_std, build_mc and build_3lf,
-apply_removals and add_cuts_to_model, with the dataclass model they
-filled. The reference that tests/test_model_reference.py compares the
-array-backed model against. Kept unchanged on purpose."""
+became column tables and cut pools row blocks: dict-based build_std,
+build_mc and build_3lf, apply_removals, the dict-per-cut construction of
+the six families' cuts and add_cuts_to_model, with the dataclass model
+they filled. The reference that tests/test_model_reference.py compares
+the array-backed model against. Kept unchanged on purpose."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-from lotforge.cuts import Cut
+import numpy as np
+
 from lotforge.formulations import Constraint, VarDecl, VarId
 from lotforge.instance import Instance, cumulative_demand, facility_keys, facility_label
 from lotforge.preprocess import RemovalSet
@@ -215,10 +218,156 @@ def apply_removals(mc_model: MipModel, removals: RemovalSet) -> MipModel:
     return MipModel(mc_model.kind, decls, mc_model.objective, mc_model.constraints)
 
 
-def add_cuts_to_model(model: MipModel, cuts: list[Cut]) -> MipModel:
-    """New model with the cut pool appended as named >= rows."""
+# --------------------------------------------------------------------------
+# Cut rows: the dict-per-cut construction that cut row blocks replaced.
+
+@dataclass
+class Cut:
+    family: str  # SL_STD, TL_STD, THL_STD, SL_3LF, TL_3LF, THL_3LF
+    params: tuple
+    coefs: dict[VarId, float]
+    rhs: float
+    sense: str = ">="
+
+    def key(self) -> tuple:
+        return (self.family, self.params)
+
+
+class _Row:
+    """The variables VarId(family, b, idx, k) of one chain, built on access."""
+
+    __slots__ = ("family", "b", "idx")
+
+    def __init__(self, family: str, b: int, idx: int):
+        self.family, self.b, self.idx = family, b, idx
+
+    def __getitem__(self, k: int) -> VarId:
+        return VarId(self.family, self.b, self.idx, k)
+
+
+class _Chain(NamedTuple):
+    """One row of period slots: slot k pairs flow variable x[k] with setup
+    variable y[k], and d[k, l] is the demand the chain serves over k..l."""
+
+    x: Sequence[VarId]
+    y: Sequence[VarId]
+    d: np.ndarray
+
+
+def _std_chain(instance: Instance, cum, fac: int) -> _Chain:
+    """Facility fac's own x and y in the standard space."""
+    b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
+    return _Chain(_Row("x", b, idx), _Row("y", b, idx), cum.table[fac])
+
+
+def _lf3_chain(instance: Instance, cum, r: int, b: int) -> _Chain:
+    """Retailer r's level-b flow with the setup of its level-b predecessor
+    on its path (plant, r's warehouse, r itself). 3LF chain r*3 + b."""
+    fac = instance.retailer(r)
+    pred = (0, instance.parent[fac], fac)[b]
+    return _Chain(_Row("x3", b, r), _Row("y", b, int(instance.ordinal[pred])),
+                  cum.table[fac])
+
+
+def _bounds(split: tuple, l: int) -> tuple:
+    """Tier i of a member with these split points covers periods
+    bounds[i]..bounds[i + 1] - 1."""
+    return (0, *(s + 1 for s in split), l + 1)
+
+
+def _cut(family: str, key: tuple, l: int, split: tuple, tiers: tuple,
+         masks: tuple, chains) -> Cut:
+    """The cut of one family member.
+
+    A tier is one chain with an int mask, or a list of chains with a tuple
+    of masks. No chain occurs twice in a member, so every variable gets
+    one term: d_{k,l} y_k for k in S, else x_k. The rhs is the demand of
+    the first tier's chain over 0..l."""
+    bounds = _bounds(split, l)
+    coefs: dict[VarId, float] = {}
+    for i, (tier, mask) in enumerate(zip(tiers, masks)):
+        for c, S_mask in (zip(tier, mask) if isinstance(tier, list) else [(tier, mask)]):
+            x, y, d = chains[c]
+            for k in range(bounds[i], bounds[i + 1]):
+                if S_mask >> k & 1:
+                    coefs[y[k]] = d[k, l]
+                else:
+                    coefs[x[k]] = 1.0
+    return Cut(family, key + (l, *split) + masks, coefs,
+               float(chains[tiers[0]].d[0, l]))
+
+
+def _std_chains(instance: Instance, cum) -> list[_Chain]:
+    return [_std_chain(instance, cum, fac) for fac in range(instance.num_facilities)]
+
+
+def _lf3_chains(instance: Instance, cum) -> list[_Chain]:
+    return [_lf3_chain(instance, cum, r, b)
+            for r in range(instance.num_retailers) for b in range(3)]
+
+
+def make_single_level_std_cut(instance, cum, fac, l, S_mask) -> Cut:
+    return _cut("SL_STD", facility_keys(instance)[fac], l, (), (fac,), (S_mask,),
+                {fac: _std_chain(instance, cum, fac)})
+
+
+def make_two_level_std_cut(instance, cum, fac, lower_level, l, li,
+                           upper_mask, succ_masks) -> Cut:
+    level = instance.level
+    succ = np.flatnonzero((level == lower_level)
+                          & ((instance.parent == fac) | (fac == 0))).tolist()
+    if not level[fac] < lower_level <= 2 or not succ:
+        raise ValueError(f"no successors of facility {fac} at level {lower_level}")
+    chains = {j: _std_chain(instance, cum, j) for j in [fac] + succ}
+    return _cut("TL_STD", facility_keys(instance)[fac] + (lower_level,), l, (li,),
+                (fac, succ), (upper_mask, succ_masks), chains)
+
+
+def _three_level_std_tiers(instance: Instance) -> tuple:
+    return (0, [instance.warehouse(w) for w in range(instance.num_warehouses)],
+            [instance.retailer(r) for r in range(instance.num_retailers)])
+
+
+def make_three_level_std_cut(instance, cum, l, lp, lw, plant_mask,
+                             w_masks, r_masks) -> Cut:
+    return _cut("THL_STD", (), l, (lp, lw), _three_level_std_tiers(instance),
+                (plant_mask, w_masks, r_masks), _std_chains(instance, cum))
+
+
+def make_single_level_3lf_cut(instance, cum, r, b, l, S_mask) -> Cut:
+    return _cut("SL_3LF", (r, b), l, (), (3 * r + b,), (S_mask,),
+                {3 * r + b: _lf3_chain(instance, cum, r, b)})
+
+
+def make_two_level_3lf_cut(instance, cum, r, b, b2, l, lb, m1, m2) -> Cut:
+    chains = {3 * r + j: _lf3_chain(instance, cum, r, j) for j in (b, b2)}
+    return _cut("TL_3LF", (r, b, b2), l, (lb,), (3 * r + b, 3 * r + b2),
+                (m1, m2), chains)
+
+
+def make_three_level_3lf_cut(instance, cum, r, l, l0, l1, m0, m1, m2) -> Cut:
+    chains = {3 * r + b: _lf3_chain(instance, cum, r, b) for b in range(3)}
+    return _cut("THL_3LF", (r,), l, (l0, l1), (3 * r, 3 * r + 1, 3 * r + 2),
+                (m0, m1, m2), chains)
+
+
+_MAKE = {"SL_STD": make_single_level_std_cut, "TL_STD": make_two_level_std_cut,
+         "THL_STD": make_three_level_std_cut, "SL_3LF": make_single_level_3lf_cut,
+         "TL_3LF": make_two_level_3lf_cut, "THL_3LF": make_three_level_3lf_cut}
+
+
+def add_cuts_to_model(model: MipModel, cuts: list, instance: Instance) -> MipModel:
+    """New model with the cut pool appended as named >= rows. Each row is
+    rebuilt by the dict construction above from the cut's family and
+    parameters alone."""
+    cum = cumulative_demand(instance)
+    keys = facility_keys(instance)
     rows = list(model.constraints)
     for n, cut in enumerate(cuts):
-        rows.append(Constraint(f"cut_{cut.family}_{n}", dict(cut.coefs),
-                               cut.sense, cut.rhs))
+        args = cut.params
+        if cut.family in ("SL_STD", "TL_STD"):  # (b, idx) names the facility
+            args = (keys.index(args[:2]),) + args[2:]
+        ref = _MAKE[cut.family](instance, cum, *args)
+        assert ref.key() == cut.key()
+        rows.append(Constraint(f"cut_{cut.family}_{n}", dict(ref.coefs), ref.sense, ref.rhs))
     return MipModel(model.kind, model.variables, model.objective, rows)

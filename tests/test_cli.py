@@ -74,6 +74,10 @@ def test_not_utf8_instance_exit_code(tmp_path, capsys):
      "--cut-tol", "nan"],
     ["export", "{inst}", "-o", "{out}", "--cuts", "--point", "{point}",
      "--cut-tol", "inf"],
+    ["export", "{inst}", "-o", "{out}", "--cuts", "--lp-solver-cmd",
+     "solve {{x}} {{lp}} {{sol}}"],
+    ["export", "{inst}", "-o", "{out}", "--cuts", "--lp-solver-cmd",
+     "solve {{ {{lp}} {{sol}}"],
     ["bench", "{dir}", "--iters", "0"],
     ["gen", "--retailers", "2", "--warehouses", "5", "--periods", "3"],
     ["gen", "--retailers", "2", "--warehouses", "0", "--periods", "3",
@@ -81,7 +85,7 @@ def test_not_utf8_instance_exit_code(tmp_path, capsys):
     ["gen", "--retailers", "2", "--warehouses", "1", "--periods", "0",
      "-o", "{out}"],
 ], ids=["iters-0", "alpha-nan", "cut-rounds-neg", "cut-tol-0", "cut-tol-nan",
-        "cut-tol-inf", "bench-iters-0",
+        "cut-tol-inf", "lp-cmd-unknown-field", "lp-cmd-stray-brace", "bench-iters-0",
         "more-warehouses", "warehouses-0", "periods-0"])
 def test_bad_option_value_exit_code(tmp_path, capsys, argv):
     inst = gen_file(tmp_path)
@@ -345,6 +349,14 @@ def test_env_seed_default(tmp_path, monkeypatch):
     args = parser.parse_args(["gen", "--retailers", "2", "--warehouses", "1",
                               "--periods", "2"])
     assert args.seed == 99
+
+
+def test_env_seed_malformed_exit_code(tmp_path, monkeypatch, capsys):
+    inst = gen_file(tmp_path)
+    monkeypatch.setenv("LOTFORGE_SEED", "abc")
+    assert cli.main(["heur", str(inst), "--iters", "2"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "LOTFORGE_SEED" in err
 
 
 @pytest.mark.skipif(not HAS_SOLVER, reason="no lotforge-lp-solve and no scipy")

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (convex_combination, lf3_point_from_routes,
+from conftest import (convex_combination, lf3_point_from_routes, one_round_cuts,
                       random_routes, tiny_instance)
 from lotforge import cuts as cm
-from lotforge.formulations import VarId, build_3lf, build_std, export_lp
+from lotforge.formulations import VarId, build_3lf, build_std, export_lp, parse_lp
 from lotforge.instance import Instance, cumulative_demand
 from lotforge.oracle import OracleConfig, solve_exact
 from lotforge.solution import from_routes
@@ -465,9 +465,25 @@ def test_loop_3lf_space():
     assert {c.family for c in result.cuts} == {"SL_3LF"}
 
 
+def _cut_rows(model):
+    return [(con.name, list(con.coefs.items()), con.sense, con.rhs)
+            for con in model.constraints if con.name.startswith("cut_")]
+
+
 def test_add_cuts_exported_rows():
     ins = fixed_instance()
     cuts = cm.separate_single_level_std(ins, zeros_point(ins), 10.0)
     model = cm.add_cuts_to_model(build_std(ins), cuts)
     text = export_lp(model)
     assert f"cut_SL_STD_{len(cuts) - 1}:" in text
+    # A parsed model numbers its columns in order of first appearance, not
+    # as built; the same pool must give it the same cut rows.
+    for build in (build_std, build_3lf):
+        built = build(ins)
+        parsed = parse_lp(export_lp(built))
+        assert parsed.var_ids != built.var_ids
+        pool = one_round_cuts(ins, built)
+        assert len({cut.family for cut in pool}) > 1
+        rows = _cut_rows(cm.add_cuts_to_model(built, pool))
+        assert len(rows) == len(pool)
+        assert _cut_rows(cm.add_cuts_to_model(parsed, pool)) == rows

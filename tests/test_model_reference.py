@@ -44,7 +44,7 @@ def test_model_matches_dict_reference(build, seed, reduced):
         expected = model_reference.apply_removals(expected, removals)
     elif reduced:
         expected = model_reference.add_cuts_to_model(expected,
-                                                     one_round_cuts(ins, model, seed))
+                                                     one_round_cuts(ins, model, seed), ins)
         model = one_cut_round(ins, model, seed)
     assert model.kind == expected.kind
     _assert_same(_exact(model), _exact(expected))
