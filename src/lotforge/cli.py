@@ -175,11 +175,11 @@ def make_command_lp_source(template: str, relax: bool = True):
 
 
 def read_point_file(text: str) -> fm.VarValueMap:
+    lines = [(no, parts) for no, line in enumerate(text.splitlines(), start=1)
+             if (parts := line.split("#", 1)[0].split())]
+    fields = fm.parse_var_names([parts[0] if len(parts) == 2 else "" for _, parts in lines])
     point: fm.VarValueMap = {}
-    for no, line in enumerate(text.splitlines(), start=1):
-        parts = line.split("#", 1)[0].split()
-        if not parts:
-            continue
+    for (no, parts), (family, *rest) in zip(lines, fields.tolist()):
         if len(parts) != 2:
             raise fm.LpParseError(f"point line {no}: expected '<name> <value>'")
         name, value = parts
@@ -187,12 +187,13 @@ def read_point_file(text: str) -> fm.VarValueMap:
             continue
         try:
             val = float(value)
-            var = fm.parse_var_name(name)
         except ValueError as exc:
             raise fm.LpParseError(f"point line {no}: {exc}") from None
+        if family < 0:
+            raise fm.LpParseError(f"point line {no}: unparseable variable name {name!r}")
         if not math.isfinite(val):
             raise fm.LpParseError(f"point line {no}: value {value!r} is not finite")
-        point[var] = val
+        point[fm.VarId(fm.FAMILIES[family], *rest)] = val
     return point
 
 

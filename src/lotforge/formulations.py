@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -53,31 +53,56 @@ def _name(family: str, b: int, idx: int, k: int, t: int) -> str:
     raise ValueError(f"unknown family {family!r}")
 
 
-# An index has at most 18 digits, so that it fits the int64 column table.
-_N = r"(\d{1,18})"
-_STD_RE = re.compile(rf"^([xsy])_(p|w{_N}|r{_N})_t{_N}$")
-_MC_RE = re.compile(rf"^(w|sig)([012])_r{_N}_k{_N}_t{_N}$")
-_3LF_RE = re.compile(rf"^([xs])([012])_r{_N}_t{_N}$")
+FAMILIES = ("x", "s", "y", "w", "sig", "x3", "s3")
+_X, _S, _Y, _W, _SIG, _X3, _S3 = range(len(FAMILIES))
+_FAMILY = {name: code for code, name in enumerate(FAMILIES)}
+
+# A valid name's head (the group), or '' for a line that is no name. The
+# head fixes which fields the name's digit runs fill. An index has at most
+# 18 digits, so that it fits the int64 column table.
+_D = "[0-9]{1,18}"
+_NAME_RE = re.compile(rf"^(?:((?:w|sig)(?=[012]_r{_D}_k{_D}_t{_D}$)|[xs](?=[012]_r{_D}_t{_D}$)"
+                      rf"|[xsy]_(?:p(?=_t{_D}$)|[wr](?={_D}_t{_D}$))).*|.*)$", re.MULTILINE)
+# head: (family, level, then the digit run that fills each of the fields
+# b, idx, k and t, or -1: such a b is the level, idx 0 and t period 0).
+_HEADS = {"w": (_W, 0, 0, 1, 2, 3), "sig": (_SIG, 0, 0, 1, 2, 3),
+          "x": (_X3, 0, 0, 1, 2, -1), "s": (_S3, 0, 0, 1, 2, -1),
+          **{f"{family}_{level}": (_FAMILY[family], b, -1, *((-1, 0) if b == 0 else (0, 1)), -1)
+             for family in "xsy" for b, level in enumerate("pwr")}}
+_HEAD_CODE = {head: code for code, head in enumerate(_HEADS)}
+_HEAD_TABLE = np.array(list(_HEADS.values()), dtype=np.int64)
+_NOT_DIGIT = str.maketrans(dict.fromkeys("_gikprstwxy\n", " "))
+
+
+def parse_var_names(names: list[str]) -> np.ndarray:
+    """(len(names), 5) int64 columns family, b, idx, k and t of each name,
+    as its VarId holds them (FAMILIES[family]); family is -1 where a name
+    is unparseable. Names may not hold a line feed."""
+    out = np.full((len(names), 5), -1, dtype=np.int64)
+    if not names:
+        return out
+    heads = _NAME_RE.findall("\n".join(names))
+    if len(heads) != len(names):
+        raise ValueError("a variable name holds a line feed")
+    code = np.fromiter(map(_HEAD_CODE.get, heads, repeat(-1)), np.intp, len(names))
+    ok = code >= 0
+    family, level, slot = np.hsplit(_HEAD_TABLE[code[ok]], [1, 2])
+    runs = np.fromstring("\n".join(compress(names, ok)).translate(_NOT_DIGIT),
+                         dtype=np.int64, sep=" ")
+    counts = (slot >= 0).sum(axis=1)
+    at = (np.cumsum(counts) - counts)[:, None] + slot
+    fields = np.where(slot >= 0, runs[np.maximum(at, 0)], 0)
+    fields[:, 0] += level[:, 0]
+    fields[:, 2:] -= 1  # periods are 1-based in names
+    out[ok, 0], out[ok, 1:] = family[:, 0], fields
+    return out
 
 
 def parse_var_name(name: str) -> VarId:
-    m = _MC_RE.match(name)
-    if m:
-        fam, b, r, k, t = m.groups()
-        return VarId(fam, int(b), int(r), int(k) - 1, int(t) - 1)
-    m = _3LF_RE.match(name)
-    if m:
-        fam, b, r, k = m.groups()
-        return VarId(fam + "3", int(b), int(r), int(k) - 1)
-    m = _STD_RE.match(name)
-    if m:
-        fam, lbl, w, r, k = m.groups()
-        if lbl == "p":
-            return VarId(fam, 0, 0, int(k) - 1)
-        if w is not None:
-            return VarId(fam, 1, int(w), int(k) - 1)
-        return VarId(fam, 2, int(r), int(k) - 1)
-    raise ValueError(f"unparseable variable name {name!r}")
+    family, *fields = (-1,) if "\n" in name else parse_var_names([name])[0].tolist()
+    if family < 0:
+        raise ValueError(f"unparseable variable name {name!r}")
+    return VarId(FAMILIES[family], *fields)
 
 
 class VarDecl(NamedTuple):
@@ -94,30 +119,11 @@ class Constraint(NamedTuple):
     rhs: float
 
 
-FAMILIES = ("x", "s", "y", "w", "sig", "x3", "s3")
-_X, _S, _Y, _W, _SIG, _X3, _S3 = range(len(FAMILIES))
-_FAMILY = {name: code for code, name in enumerate(FAMILIES)}
 SENSES = ("=", "<=", ">=")
 _EQ, _LE, _GE = range(len(SENSES))
 _SENSE = {sense: code for code, sense in enumerate(SENSES)}
 _FIELDS = ("kind", "family", "b", "idx", "k", "t", "lb", "ub", "binary", "declared",
            "obj_cols", "obj_vals", "row_names", "sense", "rhs", "indptr", "indices", "data")
-
-
-def _columns(ids) -> dict:
-    """family, b, idx, k and t of columns given as VarIds."""
-    family, *rest = tuple(zip(*ids)) or ((),) * 5
-    codes = [_FAMILY[f] for f in family]
-    return dict(zip(("family", "b", "idx", "k", "t"),
-                    (np.array(a, dtype=np.intp) for a in (codes, *rest))))
-
-
-def _rows(names, sense, rhs, lengths, indices, data) -> dict:
-    """The row fields from lists; lengths are the rows' term counts."""
-    return {"row_names": names, "sense": np.array(sense, dtype=np.int8),
-            "rhs": np.array(rhs, dtype=float),
-            "indptr": np.r_[0, np.cumsum(lengths, dtype=np.intp)],
-            "indices": np.array(indices, dtype=np.intp), "data": np.array(data, dtype=float)}
 
 
 def _floats(values: np.ndarray) -> list[float]:
@@ -155,16 +161,23 @@ class MipModel:
 
         obj_cols = [column(var) for var in objective]
         names, coefs, senses, rhs = tuple(zip(*constraints)) or ((),) * 4
-        rows = _rows(list(names), [_SENSE[sense] for sense in senses], rhs,
-                     list(map(len, coefs)), list(map(column, chain.from_iterable(coefs))),
-                     list(chain.from_iterable(map(dict.values, coefs))))
+        indices = list(map(column, chain.from_iterable(coefs)))
         pad = [(0.0, INF, False)] * (len(ids) - len(variables))
         bounds = np.array([d[1:] for d in variables] + pad, dtype=float).reshape(-1, 3)
         lb, ub, binary = bounds.T
+        family, *fields = tuple(zip(*ids)) or ((),) * 5
         self.__dict__.update(
-            kind=kind, **_columns(ids), lb=lb, ub=ub, binary=binary != 0,
-            declared=len(variables), obj_cols=np.array(obj_cols, dtype=np.intp),
-            obj_vals=np.array(list(objective.values()), dtype=float), **rows, var_ids=ids)
+            kind=kind, family=np.array([_FAMILY[f] for f in family], dtype=np.intp),
+            **dict(zip(("b", "idx", "k", "t"), (np.array(a, dtype=np.intp) for a in fields))),
+            lb=lb, ub=ub, binary=binary != 0, declared=len(variables),
+            obj_cols=np.array(obj_cols, dtype=np.intp),
+            obj_vals=np.array(list(objective.values()), dtype=float), row_names=list(names),
+            sense=np.array([_SENSE[sense] for sense in senses], dtype=np.int8),
+            rhs=np.array(rhs, dtype=float),
+            indptr=np.r_[0, np.cumsum(list(map(len, coefs)), dtype=np.intp)],
+            indices=np.array(indices, dtype=np.intp),
+            data=np.array(list(chain.from_iterable(map(dict.values, coefs))), dtype=float),
+            var_ids=ids)
 
     @classmethod
     def from_arrays(cls, var_ids=None, **fields) -> MipModel:
@@ -501,100 +514,184 @@ _SECTIONS = {"minimize": "minimize", "maximize": "maximize",
 _FOLD = str.maketrans({"\u017f": "s", "\u0131": "i", "\u0130": "i"})
 _SENSES = {"<=": _LE, ">=": _GE, "=": _EQ, "<": _LE, ">": _GE}
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|inf)$")
-_PLUS, _MINUS = object(), object()
+_BLOCK = 1 << 12  # lines split into tokens at a time, and rows read into terms at a time
+# The classes of an expression token; a token of no other class is _BAD.
+_VAR, _NUMBER, _PLUS, _MINUS, _BAD = range(5)
+# Faults of an expression other than a bad token at a position.
+_TRAILING, _OVERFLOW = -2, -3
 
 
-def _token_entry(tok: str, columns: dict[VarId, int]):
-    """What an expression token is: a finite number (float), a variable
-    (its column, numbered in order of first appearance), or the message of
-    the error it raises."""
+def _header(line: str) -> str | None:
+    """The section a header line opens, or None."""
+    key = line.lower()
+    if key in _SECTIONS:
+        return _SECTIONS[key]
+    if not line.isascii() and line.translate(_FOLD).lower() in _SECTIONS:
+        return key
+    return None
+
+
+def _sections(text: str) -> tuple[str, dict[str, list[str]]]:
+    """The kind comment and each section's content lines, stripped."""
+    lines = list(map(str.strip, text.splitlines()))
+    # Only a line of at most 10 characters can be empty or a header.
+    marked = ((np.fromiter(map(len, lines), np.intp, len(lines)) <= 10)
+              | np.fromiter(map(str.startswith, lines, repeat("\\")), bool, len(lines)))
+    kind, sections, current, start = "UNKNOWN", {}, None, 0
+    for i in [*np.flatnonzero(marked).tolist(), len(lines)]:
+        line = lines[i] if i < len(lines) else ""
+        name = _header(line)
+        if line and line[0] != "\\" and name is None:
+            continue  # a short content line
+        if start < i:
+            if current is None:
+                raise LpParseError(f"line {start + 1}: content before any section")
+            current += lines[start:i]
+        start = i + 1
+        if name is not None:
+            current = sections.setdefault(name, [])
+        elif m := re.match(r"\\\s*kind:\s*(\S+)", line):
+            kind = m.group(1)
+    return kind, sections
+
+
+def _read(lines: list[str], index: dict[str, int], counter) -> np.ndarray:
+    """The tokens of lines as codes, split a block of lines at a time. A
+    token's code is the count of tokens read before its first occurrence
+    (int32: a text of 2**31 tokens would be far beyond memory anyway)."""
+    codes = [np.zeros(0, dtype=np.int32)]
+    for a in range(0, len(lines), _BLOCK):
+        words = "\n".join(lines[a:a + _BLOCK]).split()
+        codes.append(np.fromiter(map(index.setdefault, words, counter), np.int32, len(words)))
+    return np.concatenate(codes)
+
+
+def _counts(lines: list[str]) -> np.ndarray:
+    """Each line's token count."""
+    return np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+
+
+def _labeled(lines: list[str], c: np.ndarray, label: np.ndarray, colon: int):
+    """The labelled expressions of a section's token codes c: each label's
+    position, whether it is 'name :', and the token range lo..hi of its
+    expression. A label is a token ending in ':', or a token followed by a
+    ':' token on its line; the tokens up to the next label, over any number
+    of lines, are its own."""
+    pair = np.zeros(len(c), dtype=bool)
+    if (c == colon).any():
+        line = np.repeat(np.arange(len(lines), dtype=np.int32), _counts(lines))
+        pair[:-1] = ~label[c[:-1]] & (c[1:] == colon) & (line[:-1] == line[1:])
+    head = label[c] | pair
+    head[1:] &= ~pair[:-1]  # the ':' of 'name :'
+    if len(c) and not head[0]:
+        raise LpParseError(f"expression before label in {lines[0]!r}")
+    at = np.flatnonzero(head)
+    return at, pair[at], at + 1 + pair[at], np.r_[at, len(c)][1:]
+
+
+def _terms(c, lo, hi, cls, number, vid):
+    """The terms of the expressions c[lo:hi]: each expression's term count,
+    and every term's variable (value id) and coefficient, expression after
+    expression. A term's sign is the last since the previous variable; a
+    number followed by a sign is dropped; a variable's repeated terms are
+    summed in order at its first. Also each expression's fault: the
+    position in c of its first bad token, else _TRAILING, _OVERFLOW or -1."""
+    lengths = hi - lo
+    start = np.cumsum(lengths) - lengths
+    inside = np.zeros(len(c) + 1, dtype=np.int8)
+    np.add.at(inside, lo, 1)
+    np.add.at(inside, hi, -1)
+    t = c[np.cumsum(inside[:-1], dtype=np.int8).astype(bool)]
+    e = np.repeat(np.arange(len(lo), dtype=np.int32), lengths)
+    k = cls[t]
+    prev = np.r_[np.int8(-1), k[:-1]]  # the class of the token before, in the expression, or -1
+    prev[start[lengths > 0]] = -1
+    fault = np.full(len(lo), -1)
+    # Without a fault, a variable's coefficient is the number just before it,
+    # and its sign is the token before it or before that number.
+    var = np.flatnonzero(k == _VAR)
+    k1, k2 = prev[var], np.where(prev[var] >= 0, prev[var - 1], -1)
+    coef = np.where(k1 == _NUMBER, number[t[var - 1]], 1.0)
+    _, which = np.unique(e[var] * np.intp(len(vid)) + vid[t[var]], return_inverse=True)
+    first = np.full(len(var), len(var))
+    np.minimum.at(first, which, np.arange(len(var)))
+    first = first[which]  # each term's first occurrence in its expression
+    sums = np.zeros(len(var))
+    with np.errstate(over="ignore"):
+        np.add.at(sums, first, np.where((k1 == _MINUS) | ((k1 == _NUMBER) & (k2 == _MINUS)),
+                                        -coef, coef))
+    kept = first == np.arange(len(var))
+    term_e = e[var[kept]]
+
+    fault[term_e[~np.isfinite(sums[kept])]] = _OVERFLOW
+    last = (start + lengths - 1)[lengths > 0]
+    fault[e[last[k[last] == _NUMBER]]] = _TRAILING
+    bad = np.flatnonzero((k == _BAD) | ((k == _NUMBER) & (prev == _NUMBER)))
+    faulty, at = np.unique(e[bad], return_index=True)
+    fault[faulty] = lo[faulty] + bad[at] - start[faulty]
+    return np.bincount(term_e, minlength=len(lo)), vid[t[var[kept]]], sums[kept], fault
+
+
+def _row_block(c, lo, hi, names, tokens, cls, number, sense, vid):
+    """Rows c[lo:hi] (each an expression, a sense and a right-hand side):
+    their senses, right-hand sides, term counts, terms' variables and
+    coefficients; a malformed row raises LpParseError."""
+    base = lo[0]
+    c, lo, hi = c[base:hi[-1]], lo - base, hi - base
+    mid = np.maximum(hi - 2, lo)
+    senses = np.r_[0, np.cumsum(sense[c] >= 0, dtype=np.int32)]
+    row_sense = np.where(hi - lo >= 2, sense[c[np.maximum(hi - 2, 0)]], -1)
+    malformed = (row_sense < 0) | (senses[mid] > senses[lo])
+    rhs_tok = np.where(hi > lo, c[np.maximum(hi - 1, 0)], -1)
+    value, ok = _read_floats(tokens, rhs_tok[~malformed])
+    rhs = value[rhs_tok]
+    counts, row_vid, data, fault = _terms(c, lo, mid, cls, number, vid)
+    bad = malformed | ~ok[rhs_tok] | np.isnan(rhs) | (fault != -1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where, tok = f"row {names[i]}", tokens[rhs_tok[i]]
+        if malformed[i]:
+            raise LpParseError(f"{where}: expected '<expr> <sense> <rhs>'")
+        if not ok[rhs_tok[i]]:
+            raise LpParseError(f"{where}: bad right-hand side {tok!r}")
+        if rhs[i] != rhs[i]:
+            raise LpParseError(f"{where}: right-hand side {tok!r} is not a number")
+        raise LpParseError(_expression_error(fault[i], where, tokens, c, cls))
+    return row_sense.astype(np.int8), rhs, counts, row_vid, data
+
+
+def _expression_error(fault: int, where: str, tokens: list[str], c, cls) -> str:
+    """The message of an expression's fault (see _terms)."""
+    if fault == _TRAILING:
+        return f"{where}: trailing coefficient without variable"
+    if fault == _OVERFLOW:
+        return f"{where}: a coefficient sum is not finite"
+    tok = tokens[c[fault]]
+    if cls[c[fault]] == _NUMBER:
+        return f"{where}: dangling number {tok!r}"
     if _NUM_RE.match(tok):
-        value = float(tok)
-        return value if math.isfinite(value) else f"coefficient {tok!r} is not finite"
+        return f"{where}: coefficient {tok!r} is not finite"
+    return f"{where}: unparseable variable name {tok!r}"
+
+
+def _read_floats(tokens: list[str], codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each distinct token among codes, by code, and whether it
+    could be read (NaN where not)."""
+    value, ok = np.full(len(tokens), np.nan), np.zeros(len(tokens), dtype=bool)
+    for d in np.unique(codes[codes >= 0]).tolist():
+        try:
+            value[d], ok[d] = float(tokens[d]), True
+        except ValueError:
+            pass
+    return value, ok
+
+
+def _bound_error(tok: str) -> str:
     try:
-        var = parse_var_name(tok)
+        float(tok)
     except ValueError as exc:
         return str(exc)
-    return columns.setdefault(var, len(columns))
-
-
-def _parse_expr(tokens: list[str], where: str, table: dict, columns: dict,
-                indices: list, data: list) -> int:
-    """Append an expression's terms to indices and data, a variable's
-    repeated terms summed at its first; returns the number of terms."""
-    coefs: dict[int, float] = {}
-    sign = 1.0
-    coef = None
-    terms = 0
-    for tok in tokens:
-        entry = table.get(tok)
-        if entry is None:
-            entry = table[tok] = _token_entry(tok, columns)
-        kind = entry.__class__
-        if kind is int:
-            value = sign if coef is None else sign * coef
-            coefs[entry] = coefs.get(entry, 0.0) + value
-            sign, coef = 1.0, None
-            terms += 1
-        elif kind is float:
-            if coef is not None:
-                raise LpParseError(f"{where}: dangling number {tok!r}")
-            coef = entry
-        elif entry is _PLUS:
-            sign, coef = 1.0, None
-        elif entry is _MINUS:
-            sign, coef = -1.0, None
-        else:
-            raise LpParseError(f"{where}: {entry}")
-    if coef is not None:
-        raise LpParseError(f"{where}: trailing coefficient without variable")
-    # Finite terms of one variable can still add up beyond the float range.
-    if terms > len(coefs) and not all(map(math.isfinite, coefs.values())):
-        raise LpParseError(f"{where}: a coefficient sum is not finite")
-    indices.extend(coefs)
-    data.extend(coefs.values())
-    return len(coefs)
-
-
-def _labeled(lines: list[str]):
-    """(label, tokens) of each labelled expression, in order. A label is a
-    token ending in ':' or followed by a ':' token, anywhere in a line; the
-    tokens up to the next label, over any number of lines, are its own."""
-    label = tokens = None
-    for line in lines:
-        words = line.split()
-        if line.count(":") == 1 and words[0][-1] == ":":  # ' name: expr'
-            if tokens is not None:
-                yield label, tokens
-            label, tokens = words[0][:-1], words
-            del tokens[0]
-            continue
-        j = 0
-        while j < len(words):
-            word = words[j]
-            if word.endswith(":") or (j + 1 < len(words) and words[j + 1] == ":"):
-                if tokens is not None:
-                    yield label, tokens
-                if word.endswith(":"):
-                    label = word[:-1]
-                else:
-                    label = word
-                    j += 1
-                tokens = []
-            elif tokens is None:
-                raise LpParseError(f"expression before label in {line!r}")
-            else:
-                tokens.append(word)
-            j += 1
-    if tokens is not None:
-        yield label, tokens
-
-
-def _bound(tok: str) -> float:
-    value = float(tok)
-    if value != value:
-        raise ValueError(f"bound {tok!r} is not a number")
-    return value
+    return f"bound {tok!r} is not a number"
 
 
 def parse_lp(text: str) -> MipModel:
@@ -603,119 +700,126 @@ def parse_lp(text: str) -> MipModel:
     (bounds may be infinite, coefficients and right-hand sides may not be
     NaN, coefficients may not be infinite), raises LpParseError.
 
-    Variables are declared in order of first appearance: in the objective,
+    The reader works on token arrays: each section is split into tokens a
+    block of lines at a time, each distinct token is classified once, and
+    the rows, terms and bounds are built with numpy over the token codes.
+    Names that spell one variable (x_r01_t1, x_r1_t1) are one column, and
+    columns are numbered in order of first appearance: in the objective,
     the rows, the lower then the upper bounds, and the binaries."""
-    kind = "UNKNOWN"
-    sections: dict[str, list[str]] = {}
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("\\"):
-            m = re.match(r"\\\s*kind:\s*(\S+)", line)
-            if m:
-                kind = m.group(1)
-            continue
-        if not line:
-            continue
-        key = line.lower()
-        name = _SECTIONS.get(key)
-        if name is None and not line.isascii() \
-                and line.translate(_FOLD).lower() in _SECTIONS:
-            name = key
-        if name is not None:
-            current = name
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise LpParseError(f"line {line_no}: content before any section")
-        sections[current].append(line)
-
+    kind, sections = _sections(text)
     if "minimize" not in sections:
         raise LpParseError("missing Minimize section")
+    # Lines, codes and tables are dropped as soon as they are used, to keep
+    # the reader's peak memory low.
+    obj_lines, row_lines, bound_lines, bin_lines = (
+        sections.get(name, []) for name in ("minimize", "subject to", "bounds", "binaries"))
+    del sections
+    index, counter = {}, count()
+    raw = [_read(lines, index, counter) for lines in (obj_lines, row_lines, bound_lines, bin_lines)]
+    del bin_lines
+    # Codes 0, 1, ... in order of first appearance.
+    tokens = list(index)
+    dense = np.zeros(next(counter), dtype=np.int32)
+    dense[np.fromiter(index.values(), np.intp, len(tokens))] = np.arange(len(tokens))
+    obj_c, row_c, bound_c, bin_c = (dense[c] for c in raw)
+    colon, eq_, ge_, le_ = (dense[index[tok]] if tok in index else -2
+                            for tok in (":", "=", ">=", "<="))
+    del raw, dense, index
 
-    # One entry per distinct token of the file, shared by every expression
-    # that uses it, and one column per distinct variable.
-    table: dict[str, object] = {"+": _PLUS, "-": _MINUS}
-    columns: dict[VarId, int] = {}
+    # Each distinct token once: labels, variables (merged by value) and the rest.
+    label = np.fromiter((tok[-1] == ":" for tok in tokens), bool, len(tokens))
+    fields = parse_var_names(list(compress(tokens, ~label)))
+    named = fields[:, 0] >= 0
+    fields, by_value = fields[named], np.flatnonzero(~label)[named]
+    order = np.lexsort(fields.T[::-1])
+    new = np.diff(fields[order], axis=0, prepend=-1).any(axis=1)
+    vid = np.full(len(tokens), -1)
+    vid[by_value[order]] = np.cumsum(new) - 1
+    values = fields[order[new]]
+    del fields
+    cls = np.where(vid >= 0, _VAR, _BAD).astype(np.int8)
+    number, sense = np.zeros(len(tokens)), np.full(len(tokens), -1, dtype=np.int8)
+    for d in np.flatnonzero(~label & (vid < 0)).tolist():
+        tok = tokens[d]
+        sense[d] = _SENSES.get(tok, -1)
+        if tok == "+" or tok == "-":
+            cls[d] = _PLUS if tok == "+" else _MINUS
+        elif _NUM_RE.match(tok) and math.isfinite(value := float(tok)):
+            cls[d], number[d] = _NUMBER, value
 
-    obj_items = list(_labeled(sections["minimize"]))
-    if len(obj_items) != 1:
+    at, _, lo, hi = _labeled(obj_lines, obj_c, label, colon)
+    del obj_lines
+    if len(at) != 1:
         raise LpParseError("objective must carry exactly one label")
-    obj_cols: list[int] = []
-    obj_vals: list[float] = []
-    _parse_expr(obj_items[0][1], "objective", table, columns, obj_cols, obj_vals)
+    _, obj_vid, obj_vals, fault = _terms(obj_c, lo, hi, cls, number, vid)
+    if fault[0] != -1:
+        raise LpParseError(_expression_error(fault[0], "objective", tokens, obj_c, cls))
 
-    names, senses, rhss, lengths, indices, data = [], [], [], [], [], []
-    for name, tokens in _labeled(sections.get("subject to", [])):
-        sense = _SENSES.get(tokens[-2]) if len(tokens) >= 2 else None
-        rhs_text = tokens[-1] if tokens else ""
-        del tokens[-2:]
-        if sense is None or not _SENSES.keys().isdisjoint(tokens):
-            raise LpParseError(f"row {name}: expected '<expr> <sense> <rhs>'")
-        try:
-            rhs = float(rhs_text)
-        except ValueError:
-            raise LpParseError(f"row {name}: bad right-hand side {rhs_text!r}") from None
-        if rhs != rhs:
-            raise LpParseError(f"row {name}: right-hand side {rhs_text!r} is not a number")
-        lengths.append(_parse_expr(tokens, f"row {name}", table, columns, indices, data))
-        names.append(name)
-        senses.append(sense)
-        rhss.append(rhs)
+    # A row is its label, an expression, a sense and a right-hand side.
+    at, pair, lo, hi = _labeled(row_lines, row_c, label, colon)
+    del row_lines
+    names = list(map(str.removesuffix, map(tokens.__getitem__, row_c[at].tolist()), repeat(":")))
+    blocks = [_row_block(row_c, lo[a:a + _BLOCK], hi[a:a + _BLOCK], names[a:a + _BLOCK],
+                         tokens, cls, number, sense, vid) for a in range(0, len(at), _BLOCK)]
+    row_sense, rhs, counts, row_vid, data = map(np.concatenate, zip(*blocks) if blocks else [
+        [np.zeros(0, dtype=dtype)] for dtype in (np.int8, float, np.intp, np.intp, float)])
+    del blocks, row_c
 
-    ids = list(columns)
+    # A bound line is 'v = a', 'v >= a', 'v <= a', 'a <= v <= b' or 'v free'.
+    length = _counts(bound_lines)
+    padded = np.r_[bound_c, -1]
+    t0, t1, t2, t3, t4 = (padded[np.where(length > j, np.cumsum(length) - length + j, -1)]
+                          for j in range(5))
+    eq, ge, le = ((length == 3) & (t1 == sym) for sym in (eq_, ge_, le_))
+    both = (length == 5) & (t1 == le_) & (t3 == le_)
+    free = (length == 2) & np.isin(t1, [d for d in np.unique(t1[length == 2]).tolist()
+                                         if tokens[d].lower() == "free"])
+    var = np.where(both, t2, t0)
+    low = np.where(both, t0, np.where(eq | ge, t2, -1))
+    up = np.where(both, t4, np.where(eq | le, t2, -1))
+    value, ok = _read_floats(tokens, np.r_[low, up])
+    ok &= ~np.isnan(value)
+    unknown = ~(eq | ge | le | both | free)
+    bad = unknown | (vid[var] < 0) | ((low >= 0) & ~ok[low]) | ((up >= 0) & ~ok[up])
+    if bad.any():
+        i = int(np.argmax(bad))
+        line = bound_lines[i]
+        if unknown[i]:
+            raise LpParseError(f"bound line {line!r}: unrecognized bound line {line!r}")
+        if vid[var[i]] < 0:
+            raise LpParseError(f"bound line {line!r}: unparseable variable name "
+                               f"{tokens[var[i]]!r}")
+        tok = tokens[low[i] if low[i] >= 0 and not ok[low[i]] else up[i]]
+        raise LpParseError(f"bound line {line!r}: {_bound_error(tok)}")
+    sets_low, sets_up = eq | ge | both | free, eq | le | both
+    low_vid, low_val = vid[var[sets_low]], np.where(free, -INF, value[low])[sets_low]
+    up_vid, up_val = vid[var[sets_up]], value[up][sets_up]
 
-    def variable(tok: str) -> VarId:
-        entry = table.get(tok)
-        return ids[entry] if entry.__class__ is int else parse_var_name(tok)
+    bin_vid = vid[bin_c]
+    if (bin_vid < 0).any():
+        tok = tokens[bin_c[np.argmax(bin_vid < 0)]]
+        raise LpParseError(f"Binaries: unparseable variable name {tok!r}")
 
-    lbs: dict[VarId, float] = {}
-    ubs: dict[VarId, float] = {}
-    for line in sections.get("bounds", []):
-        tokens = line.split()
-        try:
-            if len(tokens) == 3 and tokens[1] == "=":
-                var = variable(tokens[0])
-                lbs[var] = ubs[var] = _bound(tokens[2])
-            elif len(tokens) == 3 and tokens[1] == ">=":
-                var = variable(tokens[0])
-                lbs[var] = _bound(tokens[2])
-            elif len(tokens) == 3 and tokens[1] == "<=":
-                var = variable(tokens[0])
-                ubs[var] = _bound(tokens[2])
-            elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                var = variable(tokens[2])
-                lbs[var] = _bound(tokens[0])
-                ubs[var] = _bound(tokens[4])
-            elif len(tokens) == 2 and tokens[1].lower() == "free":
-                var = variable(tokens[0])
-                lbs[var] = -INF
-            else:
-                raise LpParseError(f"unrecognized bound line {line!r}")
-        except ValueError as exc:
-            raise LpParseError(f"bound line {line!r}: {exc}") from None
-
-    binaries: dict[VarId, None] = {}
-    for line in sections.get("binaries", []):
-        for tok in line.split():
-            try:
-                binaries[variable(tok)] = None
-            except ValueError as exc:
-                raise LpParseError(f"Binaries: {exc}") from None
-
-    for var in chain(lbs, ubs, binaries):
-        columns.setdefault(var, len(columns))
-    ids = list(columns)
-    n = len(ids)
+    # Columns in order of first appearance; a bound's last line sets it.
+    seen = np.concatenate([obj_vid, row_vid, low_vid, up_vid, bin_vid]).astype(np.int32)
+    first = np.full(len(values), len(seen))
+    np.minimum.at(first, seen, np.arange(len(seen)))
+    n = np.count_nonzero(first < len(seen))
+    order = np.argsort(first)[:n]
+    col = np.empty(len(values), dtype=np.intp)
+    col[order] = np.arange(n)
     lb, ub, binary = np.zeros(n), np.full(n, INF), np.zeros(n, dtype=bool)
-    for values, bound in ((lbs, lb), (ubs, ub)):
-        bound[[columns[var] for var in values]] = list(values.values())
-    at = [columns[var] for var in binaries]
+    for bound, vids, vals in ((lb, low_vid, low_val), (ub, up_vid, up_val)):
+        last = np.full(len(values), -1)
+        np.maximum.at(last, vids, np.arange(len(vids)))
+        bound[col[vids[last[last >= 0]]]] = vals[last[last >= 0]]
+    at = col[bin_vid]
     lb[at], ub[at], binary[at] = 0.0, 1.0, True
     return MipModel.from_arrays(
-        ids, kind=kind, **_columns(ids), lb=lb, ub=ub, binary=binary, declared=n,
-        obj_cols=np.array(obj_cols, dtype=np.intp), obj_vals=np.array(obj_vals, dtype=float),
-        **_rows(names, senses, rhss, lengths, indices, data))
+        kind=kind, **dict(zip(("family", "b", "idx", "k", "t"), values[order].T)),
+        lb=lb, ub=ub, binary=binary, declared=n, obj_cols=col[obj_vid], obj_vals=obj_vals,
+        row_names=names, sense=row_sense, rhs=rhs,
+        indptr=np.r_[0, np.cumsum(counts)].astype(np.intp), indices=col[row_vid], data=data)
 
 
 def export_mip_start(solution_vars: VarValueMap) -> str:

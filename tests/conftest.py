@@ -43,7 +43,7 @@ LP_SOLVE_CMD = _lp_solve_command()
 # (taken modulo the text length) and inserts `piece` there.
 _PIECES = ["", "0", "7", "-", "+", ".", "e", " ", "\n", ":", "=", ">=", "#",
            "x", "1x", "y_r1", "9" * 25, "inf", "nan", "Bounds", "Binaries",
-           "End", "ASSIGN", "R"]
+           "End", "ASSIGN", "R", "\r", "\u2028", "\xa0", "\x0c", " :", "_r01"]
 TEXT_EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 6),
                                 st.sampled_from(_PIECES)), min_size=1, max_size=4)
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,45 @@ def test_var_name_roundtrip():
     assert fm.VarId("w", 2, 12, 2, 8).name() == "w2_r12_k3_t9"
     with pytest.raises(ValueError):
         fm.parse_var_name("q_p_t1")
+
+
+# The name grammar as three patterns, one per formulation: the reference
+# for the one-pattern bulk parser.
+_D = r"([0-9]{1,18})"
+_GRAMMAR = [(re.compile(rf"(w|sig)([012])_r{_D}_k{_D}_t{_D}"),
+             lambda f, b, r, k, t: fm.VarId(f, int(b), int(r), int(k) - 1, int(t) - 1)),
+            (re.compile(rf"([xs])([012])_r{_D}_t{_D}"),
+             lambda f, b, r, k: fm.VarId(f + "3", int(b), int(r), int(k) - 1)),
+            (re.compile(rf"([xsy])_(p|w{_D}|r{_D})_t{_D}"),
+             lambda f, lvl, w, r, k: fm.VarId(f, "pwr".index(lvl[0]), int(w or r or 0),
+                                              int(k) - 1))]
+
+
+def _grammar_parse(name):
+    for pattern, make in _GRAMMAR:
+        if m := pattern.fullmatch(name):
+            return make(*m.groups())
+    return None
+
+
+def test_parse_var_names_matches_grammar():
+    names = ["x_p_t1", "s_w3_t7", "y_r12_t9", "w0_r12_k3_t9", "sig2_r1_k1_t30",
+             "x1_r5_t3", "s0_r00_t01", "y_w003_t2", "x_r" + "9" * 18 + "_t1",
+             "x_r" + "9" * 19 + "_t1", "q_p_t1", "x_p5_t1", "x_w_t1", "y0_r1_t1",
+             "w3_r1_k1_t1", "sig0_r1_t1", "x1_r1_k1_t1", "w00_r1_k1_t1", "x_p_t0",
+             "x_p_t1:", "", "1.0", "+", "x_r\u0661_t1", "X_p_t1", "x_p_t1x"]
+    fields = fm.parse_var_names(names)
+    for name, (family, *rest) in zip(names, fields.tolist()):
+        expected = _grammar_parse(name)
+        got = None if family < 0 else fm.VarId(fm.FAMILIES[family], *rest)
+        assert got == expected, name
+        if expected is None:
+            with pytest.raises(ValueError, match="unparseable variable name"):
+                fm.parse_var_name(name)
+        else:
+            assert fm.parse_var_name(name) == expected
+    with pytest.raises(ValueError, match="unparseable variable name"):
+        fm.parse_var_name("x_p_t1\n")
 
 
 def test_std_counts_and_bounds():
@@ -413,11 +453,43 @@ def test_parse_lp_section_headers_match_reference(header):
     " obj: x_p_t1\nBinaries\n y_p_t1 x_p_t1\n 5",
     "x_p_t1 + y_p_t1",
     " obj: x_p_t1 + x_r9999999999999999999_t1",
+    " obj: x_r01_t1 + x_r1_t1 - 2 x_r001_t01\nSubject To\n c1: y_w03_t2 - x_r1_t1 >= 1\n"
+    "Bounds\n x_r1_t01 <= 4\nBinaries\n y_w3_t2",
+    " obj: x_p_t1\nSubject To\n c1: >= 1.0\n c2: x_p_t1 <= 2",
+    " obj: x_p_t1\nSubject To\n c1: x_p_t1 >= 1\n: y_p_t1 <= 2",
+    " obj: x_p_t1\nSubject To\n c1\n: x_p_t1 >= 1",
+    " obj: x_p_t1 + y_p_t1\r\nSubject To\r\n c1: x_p_t1\r\n >= 1\r\nBounds\r\n x_p_t1 <= 4",
+    " obj: x_p_t1\u2028Subject To\x0c c1: x_p_t1 >= 1\u2028 c2 : y_p_t1 <= 2\x0cBounds"
+    "\u2028 x_p_t1 <= 3\x0c 0 <= y_p_t1 <= 1",
+    " obj:\xa0x_p_t1 +\xa02\xa0y_p_t1\nSubject To\n c1:\xa0x_p_t1\xa0>=\xa01\xa0c2 :\xa0y_p_t1 <= 1",
+    " obj: x_p_t1\nSubject To\n c1 : x_p_t1 >= 1 c2 : - y_p_t1 <= 2",
 ], ids=["repeated-variable", "signed-zeros", "sign-drops-number", "labels-across-lines",
         "two-senses", "strict-senses", "no-rhs", "dangling-number",
-        "trailing-number", "bounds", "binaries", "no-label", "index-beyond-int64"])
+        "trailing-number", "bounds", "binaries", "no-label", "index-beyond-int64",
+        "leading-zeros", "empty-row", "colon-at-line-start", "label-colon-next-line",
+        "crlf", "u2028-and-form-feed", "no-break-space", "two-spaced-labels-on-a-line"])
 def test_parse_lp_hand_written_text_matches_reference(text):
     _assert_parses_like_reference(f"Minimize\n{text}\nEnd\n", same_message=True)
+
+
+def test_parse_lp_across_a_block_boundary_matches_reference():
+    # More rows than one block of lines: the row at the boundary has no
+    # coefficient, a repeated variable and a 'name :' label, and goes on in
+    # the next block with a variable that first appears there.
+    rows = [f" r{i}: + 1.0 x_r{i % 50}_t1 - 2.5 y_r{i % 50}_t1 >= {i}.0"
+            for i in range(fm._BLOCK + 20)]
+    rows[fm._BLOCK - 1] = " edge : x_r3_t1 + x_r3_t1 - 1.5 x_r3_t1"
+    rows[fm._BLOCK] = " - s_w7_t2 <= 4.0"
+    text = ("Minimize\n obj: + 1.0 x_r0_t1\nSubject To\n" + "\n".join(rows)
+            + "\nBounds\n s_w7_t2 <= 9.0\nEnd\n")
+    _assert_parses_like_reference(text, same_message=True)
+    row = f" r{fm._BLOCK + 5}: + 1.0"
+    _assert_parses_like_reference(text.replace(row, row + " 2.0"), same_message=True)
+    model = fm.parse_lp(text)
+    edge = fm.VarId("x", 2, 3, 0)
+    assert model.constraints[fm._BLOCK - 1] == fm.Constraint(
+        "edge", {edge: 0.5, fm.VarId("s", 1, 7, 1): -1.0}, "<=", 4.0)
+    assert model.variables[-1] == fm.VarDecl(fm.VarId("s", 1, 7, 1), 0.0, 9.0, False)
 
 
 def test_mip_start_export():
