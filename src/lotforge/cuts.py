@@ -10,6 +10,14 @@ level-b flow with the setup of r's level-b predecessor. A family member
 fixes the horizon end l and split points that hand consecutive period
 segments 0..l to consecutive tiers of chains.
 
+Each family is declared once, in one table: its chain space and its
+units, the (key, tiers) groups of chains its members take. Two functions
+read it. separate(instance, family, point, tol) returns the members that
+a point violates. make_cuts(instance, family, params_list) builds the
+members that parameter tuples name, laid out as Cut.params is: the unit
+key, then (l, *split), then one S mask per tier (a tuple of masks for a
+tier of several chains), so a unit of m tiers ends in 2m entries.
+
 Once l is fixed, each slot independently contributes the smaller of its
 flow term and its demand-scaled setup term (ties go to the setup term,
 which puts the slot in S), which yields the most violated member. One
@@ -192,16 +200,55 @@ def _cuts(family: str, chains: tuple, members: list) -> list[Cut]:
             for (key, l, split, _, masks), b, p, q in zip(members, rhs, ptr, ptr[1:])]
 
 
-def _separate(family: str, units: list, chains: tuple, point: VarValueMap,
-              tol: float) -> list[Cut]:
+# --------------------------------------------------------------------------
+# The six families, declared once: a family's chain space and its units.
+# A unit is (parameter key, tiers) over chain indices; all units of a
+# family have the same number of tiers m, and a member adds l, m - 1
+# split points and one mask per tier to its unit's key.
+
+def _two_level_pairs(instance: Instance) -> list[tuple[int, list[int]]]:
+    """(facility, successor facilities at the lower level) pairs: plant with
+    all warehouses, plant with all retailers, each warehouse with its own
+    retailers."""
+    pairs = [(0, [instance.warehouse(w) for w in range(instance.num_warehouses)]),
+             (0, [instance.retailer(r) for r in range(instance.num_retailers)])]
+    for w in range(instance.num_warehouses):
+        succ = [instance.retailer(r) for r in instance.retailers_of(w)]
+        pairs.append((instance.warehouse(w), succ))
+    return pairs
+
+
+_FAMILIES: dict[str, tuple[Callable, Callable[[Instance], list]]] = {
+    "SL_STD": (_std_chains, lambda ins: [
+        (key, (fac,)) for fac, key in enumerate(facility_keys(ins))]),
+    "TL_STD": (_std_chains, lambda ins: [
+        ((int(ins.level[fac]), int(ins.ordinal[fac]), int(ins.level[succ[0]])), (fac, succ))
+        for fac, succ in _two_level_pairs(ins) if succ]),
+    "THL_STD": (_std_chains, lambda ins: [
+        ((), (0, [ins.warehouse(w) for w in range(ins.num_warehouses)],
+              [ins.retailer(r) for r in range(ins.num_retailers)]))]),
+    "SL_3LF": (_lf3_chains, lambda ins: [
+        ((r, b), (3 * r + b,)) for r in range(ins.num_retailers) for b in range(3)]),
+    "TL_3LF": (_lf3_chains, lambda ins: [
+        ((r, b, b2), (3 * r + b, 3 * r + b2)) for r in range(ins.num_retailers)
+        for b in range(3) for b2 in range(b + 1, 3)]),
+    "THL_3LF": (_lf3_chains, lambda ins: [
+        ((r,), (3 * r, 3 * r + 1, 3 * r + 2)) for r in range(ins.num_retailers)]),
+}
+
+
+def separate(instance: Instance, family: str, point: VarValueMap,
+             tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
     """Every member of a family violated by more than tol at point.
 
-    units are (key, tiers) with the same tier shapes. For every horizon end
-    l one kernel pass serves all units; a unit's total for each increasing
-    split point tuple is a sum of prefix-sum differences. Cuts come out
-    ordered by unit, then l, then split points."""
-    if not units:
-        return []
+    For every horizon end l one kernel pass serves all the family's units;
+    a unit's total for each increasing split point tuple is a sum of
+    prefix-sum differences. Cuts come out ordered by unit, then l, then
+    split points."""
+    chain_space, family_units = _FAMILIES[family]
+    cum = cumulative_demand(instance)
+    units = family_units(instance)
+    chains = chain_space(instance, cum)
     slots = _Slots(chains, point)
     T = slots.D.shape[1]
     m = len(units[0][1])
@@ -236,119 +283,59 @@ def _separate(family: str, units: list, chains: tuple, point: VarValueMap,
     return _cuts(family, chains, members)
 
 
-# --------------------------------------------------------------------------
-# The six families. A unit is (parameter key, tiers) over chain indices.
+def _member(tiers_of: dict, m: int, T: int, params) -> Optional[tuple]:
+    """The (key, l, split, tiers, masks) that params names, or None. The
+    split points and l are ints with -1 < split... < l < T, and each tier's
+    masks are ints with bits only in the tier's period segment."""
+    n = len(params) - 2 * m if type(params) is tuple else -1
+    tiers = tiers_of.get(params[:n]) if n >= 0 else None
+    if tiers is None:
+        return None
+    lo = -1
+    for tier, hi, mask in zip(tiers, params[n + 1:n + m] + params[n:n + 1], params[n + m:]):
+        group, width = (mask, len(tier)) if isinstance(tier, list) else ((mask,), 1)
+        if type(hi) is not int or not lo < hi < T or type(group) is not tuple \
+                or len(group) != width:
+            return None
+        outside = ~((1 << hi + 1) - (1 << lo + 1))
+        if any(type(g) is not int or g & outside for g in group):
+            return None
+        lo = hi
+    return params[:n], params[n], params[n + 1:n + m], tiers, params[n + m:]
 
-def _two_level_pairs(instance: Instance) -> list[tuple[int, list[int]]]:
-    """(facility, successor facilities at the lower level) pairs: plant with
-    all warehouses, plant with all retailers, each warehouse with its own
-    retailers."""
-    pairs = [(0, [instance.warehouse(w) for w in range(instance.num_warehouses)]),
-             (0, [instance.retailer(r) for r in range(instance.num_retailers)])]
-    for w in range(instance.num_warehouses):
-        succ = [instance.retailer(r) for r in instance.retailers_of(w)]
-        pairs.append((instance.warehouse(w), succ))
-    return pairs
 
+def make_cuts(instance: Instance, family: str, params_list) -> list[Cut]:
+    """The family's cuts named by params_list, in order, as one row block.
 
-def separate_single_level_std(instance: Instance, point: VarValueMap,
-                              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
+    Each params is laid out as Cut.params is: key + (l, *split) + masks,
+    where a unit of m tiers has m - 1 split points and m masks (an int for
+    a one-chain tier, a tuple of ints for a tier of several chains), so the
+    key is all but the last 2m entries. Raises ValueError naming the family
+    and the params when they name no member of the family."""
+    chain_space, family_units = _FAMILIES[family]
     cum = cumulative_demand(instance)
-    units = [(key, (fac,)) for fac, key in enumerate(facility_keys(instance))]
-    return _separate("SL_STD", units, _std_chains(instance, cum), point, tol)
-
-
-def make_single_level_std_cut(instance, cum, fac, l, S_mask) -> Cut:
-    return _cuts("SL_STD", _std_chains(instance, cum),
-                 [(facility_keys(instance)[fac], l, (), (fac,), (S_mask,))])[0]
-
-
-def separate_two_level_std(instance: Instance, point: VarValueMap,
-                           tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    cum = cumulative_demand(instance)
-    keys = facility_keys(instance)
-    units = [(keys[fac] + (int(instance.level[succ[0]]),), (fac, succ))
-             for fac, succ in _two_level_pairs(instance) if succ]
-    return _separate("TL_STD", units, _std_chains(instance, cum), point, tol)
-
-
-def make_two_level_std_cut(instance, cum, fac, lower_level, l, li,
-                           upper_mask, succ_masks) -> Cut:
-    level = instance.level
-    succ = np.flatnonzero((level == lower_level)
-                          & ((instance.parent == fac) | (fac == 0))).tolist()
-    if not level[fac] < lower_level <= 2 or not succ:
-        raise ValueError(f"no successors of facility {fac} at level {lower_level}")
-    return _cuts("TL_STD", _std_chains(instance, cum),
-                 [(facility_keys(instance)[fac] + (lower_level,), l, (li,), (fac, succ),
-                   (upper_mask, succ_masks))])[0]
-
-
-def _three_level_std_tiers(instance: Instance) -> tuple:
-    return (0, [instance.warehouse(w) for w in range(instance.num_warehouses)],
-            [instance.retailer(r) for r in range(instance.num_retailers)])
-
-
-def separate_three_level_std(instance: Instance, point: VarValueMap,
-                             tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    cum = cumulative_demand(instance)
-    units = [((), _three_level_std_tiers(instance))]
-    return _separate("THL_STD", units, _std_chains(instance, cum), point, tol)
-
-
-def make_three_level_std_cut(instance, cum, l, lp, lw, plant_mask,
-                             w_masks, r_masks) -> Cut:
-    return _cuts("THL_STD", _std_chains(instance, cum),
-                 [((), l, (lp, lw), _three_level_std_tiers(instance),
-                   (plant_mask, w_masks, r_masks))])[0]
-
-
-def separate_single_level_3lf(instance: Instance, point: VarValueMap,
-                              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    cum = cumulative_demand(instance)
-    units = [((r, b), (3 * r + b,))
-             for r in range(instance.num_retailers) for b in range(3)]
-    return _separate("SL_3LF", units, _lf3_chains(instance, cum), point, tol)
-
-
-def make_single_level_3lf_cut(instance, cum, r, b, l, S_mask) -> Cut:
-    return _cuts("SL_3LF", _lf3_chains(instance, cum),
-                 [((r, b), l, (), (3 * r + b,), (S_mask,))])[0]
-
-
-def separate_two_level_3lf(instance: Instance, point: VarValueMap,
-                           tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    cum = cumulative_demand(instance)
-    units = [((r, b, b2), (3 * r + b, 3 * r + b2))
-             for r in range(instance.num_retailers)
-             for b in range(3) for b2 in range(b + 1, 3)]
-    return _separate("TL_3LF", units, _lf3_chains(instance, cum), point, tol)
-
-
-def make_two_level_3lf_cut(instance, cum, r, b, b2, l, lb, m1, m2) -> Cut:
-    return _cuts("TL_3LF", _lf3_chains(instance, cum),
-                 [((r, b, b2), l, (lb,), (3 * r + b, 3 * r + b2), (m1, m2))])[0]
-
-
-def separate_three_level_3lf(instance: Instance, point: VarValueMap,
-                             tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    cum = cumulative_demand(instance)
-    units = [((r,), (3 * r, 3 * r + 1, 3 * r + 2))
-             for r in range(instance.num_retailers)]
-    return _separate("THL_3LF", units, _lf3_chains(instance, cum), point, tol)
-
-
-def make_three_level_3lf_cut(instance, cum, r, l, l0, l1, m0, m1, m2) -> Cut:
-    return _cuts("THL_3LF", _lf3_chains(instance, cum),
-                 [((r,), l, (l0, l1), (3 * r, 3 * r + 1, 3 * r + 2), (m0, m1, m2))])[0]
+    tiers_of = dict(family_units(instance))
+    m = len(next(iter(tiers_of.values()), ()))
+    members = []
+    for params in params_list:
+        member = _member(tiers_of, m, instance.num_periods, params)
+        if member is None:
+            raise ValueError(f"{params!r} names no member of cut family {family}")
+        members.append(member)
+    return _cuts(family, chain_space(instance, cum), members)
 
 
 # --------------------------------------------------------------------------
 # Cutting-plane driver.
 
-_SINGLE = {"STD": separate_single_level_std, "3LF": separate_single_level_3lf}
-_TWO = {"STD": separate_two_level_std, "3LF": separate_two_level_3lf}
-_THREE = {"STD": separate_three_level_std, "3LF": separate_three_level_3lf}
+def _by_kind(prefix: str) -> dict:
+    """The prefix's separators by model kind, as (instance, point, tol)
+    callables."""
+    return {kind: lambda instance, point, tol=DEFAULT_VIOLATION_TOL, family=f"{prefix}_{kind}":
+            separate(instance, family, point, tol) for kind in ("STD", "3LF")}
+
+
+_SINGLE, _TWO, _THREE = _by_kind("SL"), _by_kind("TL"), _by_kind("THL")
 
 
 def add_cuts_to_model(model: MipModel, cuts: list[Cut]) -> MipModel:

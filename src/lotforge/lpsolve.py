@@ -7,8 +7,9 @@ core library never imports a solver; this tool exists so the cutting
 plane driver and the CLI can shell out to *some* LP source, and doubles
 as a reference consumer of the LP files.
 
-Exit codes: 0 solved, 1 infeasible or solver failure, 2 unreadable or
-malformed LP file, or unwritable output file."""
+Exit codes: 0 solved, 1 infeasible, unbounded or solver failure (HiGHS's
+message goes to stderr), 2 unreadable or malformed LP file, or
+unwritable output file."""
 
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ def constraint_matrix(model):
     return A
 
 
-def solve_model(model, relax: bool = False):
-    """Solve a MipModel; returns (objective, {VarId: value}) or None."""
+def _solve(model, relax: bool):
+    """(objective, {VarId: value}) or None, and HiGHS's status message."""
     import numpy as np
     from scipy.optimize import LinearConstraint, Bounds, milp
 
@@ -46,8 +47,13 @@ def solve_model(model, relax: bool = False):
         kwargs["constraints"] = LinearConstraint(constraint_matrix(model), lo, hi)
     res = milp(c, **kwargs)
     if not res.success:
-        return None
-    return float(res.fun), dict(zip(model.var_ids, res.x.tolist()))
+        return None, res.message
+    return (float(res.fun), dict(zip(model.var_ids, res.x.tolist()))), res.message
+
+
+def solve_model(model, relax: bool = False):
+    """Solve a MipModel; returns (objective, {VarId: value}) or None."""
+    return _solve(model, relax)[0]
 
 
 def main(argv=None) -> int:
@@ -66,9 +72,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, LpParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = solve_model(model, relax=args.relax)
+    result, message = _solve(model, args.relax)
     if result is None:
-        print("infeasible or solver failure", file=sys.stderr)
+        print(message, file=sys.stderr)
         return 1
     obj, values = result
     try:

@@ -22,8 +22,8 @@ from lotforge import formulations as fm
 from lotforge.cli import gap_to_best_known, make_command_lp_source
 from lotforge.heuristic import HeuristicConfig, _one_iteration, run
 from lotforge.instance import (DemandType, FixedCostType, InstanceSpec,
-                               NetworkShape, cumulative_demand, generate,
-                               write_instance)
+                               NetworkShape, cumulative_demand, facility_keys,
+                               generate, write_instance)
 from lotforge.instance import (DEMAND_HI, DEMAND_LO, PLANT_HOLDING,
                                PLANT_SETUP_HI, PLANT_SETUP_LO,
                                RETAILER_HOLDING_HI, RETAILER_HOLDING_LO,
@@ -170,13 +170,13 @@ def test_inequality_validity():
             routes = random_routes(ins, rng)
             sol = from_routes(ins, routes)
             std_point = fm.std_point_from_solution(ins, sol.x, sol.y, sol.s)
-            assert cm.separate_single_level_std(ins, std_point, tol) == []
-            assert cm.separate_two_level_std(ins, std_point, tol) == []
-            assert cm.separate_three_level_std(ins, std_point, tol) == []
+            assert cm.separate(ins, "SL_STD", std_point, tol) == []
+            assert cm.separate(ins, "TL_STD", std_point, tol) == []
+            assert cm.separate(ins, "THL_STD", std_point, tol) == []
             lf_point = lf3_point_from_routes(ins, routes)
-            assert cm.separate_single_level_3lf(ins, lf_point, tol) == []
-            assert cm.separate_two_level_3lf(ins, lf_point, tol) == []
-            assert cm.separate_three_level_3lf(ins, lf_point, tol) == []
+            assert cm.separate(ins, "SL_3LF", lf_point, tol) == []
+            assert cm.separate(ins, "TL_3LF", lf_point, tol) == []
+            assert cm.separate(ins, "THL_3LF", lf_point, tol) == []
             solutions += 1
             if solutions == 1000:
                 break
@@ -195,6 +195,13 @@ def _masks(lo, hi):
                 m |= 1 << (lo + offset)
         out.append(m)
     return out
+
+
+def _built(ins, family, members):
+    """{mask combo: cut} for (combo, params) members, built by one
+    make_cuts call."""
+    combos, params = zip(*members)
+    return dict(zip(combos, cm.make_cuts(ins, family, list(params))))
 
 
 def _assert_brute_match(point, built, inspect_total, inspect_masks):
@@ -258,22 +265,18 @@ def test_separation_exactness():
     for _ in range(2):
         point = _frac_std(ins, rng)
         slots = cm._Slots(cm._std_chains(ins, cum), point)
-        for fac in range(ins.num_facilities):
+        for fac, key in enumerate(facility_keys(ins)):
             for l in range(T):
-                built = {(m,): cm.make_single_level_std_cut(ins, cum, fac, l, m)
-                         for m in _masks(0, l)}
+                built = _built(ins, "SL_STD", [((m,), key + (l, m)) for m in _masks(0, l)])
                 total, mask = slots.segment(l, fac, 0, l)
                 _assert_brute_match(point, built, total, (mask,))
         for fac, succ in cm._two_level_pairs(ins):
-            lower = int(ins.level[succ[0]])
+            key = facility_keys(ins)[fac] + (int(ins.level[succ[0]]),)
             for l in range(1, T):
                 for li in range(l):
-                    built = {}
-                    for um in _masks(0, li):
-                        for sm in itertools.product(
-                                *([_masks(li + 1, l)] * len(succ))):
-                            built[(um,) + sm] = cm.make_two_level_std_cut(
-                                ins, cum, fac, lower, l, li, um, tuple(sm))
+                    built = _built(ins, "TL_STD", [
+                        ((um,) + sm, key + (l, li, um, sm)) for um in _masks(0, li)
+                        for sm in itertools.product(*([_masks(li + 1, l)] * len(succ)))])
                     total, um = slots.segment(l, fac, 0, li)
                     chosen = [um]
                     for j in succ:
@@ -286,11 +289,9 @@ def test_separation_exactness():
                 for lw in range(lp + 1, l):
                     spaces = ([_masks(0, lp)] + [_masks(lp + 1, lw)] * W
                               + [_masks(lw + 1, l)] * R)
-                    built = {}
-                    for combo in itertools.product(*spaces):
-                        built[combo] = cm.make_three_level_std_cut(
-                            ins, cum, l, lp, lw, combo[0],
-                            tuple(combo[1:1 + W]), tuple(combo[1 + W:]))
+                    built = _built(ins, "THL_STD", [
+                        (combo, (l, lp, lw, combo[0], combo[1:1 + W], combo[1 + W:]))
+                        for combo in itertools.product(*spaces)])
                     total, pm = slots.segment(l, 0, 0, lp)
                     chosen = [pm]
                     for w in range(W):
@@ -308,32 +309,27 @@ def test_separation_exactness():
         for r in range(R):
             for b in range(3):
                 for l in range(T):
-                    built = {(m,): cm.make_single_level_3lf_cut(
-                        ins, cum, r, b, l, m) for m in _masks(0, l)}
+                    built = _built(ins, "SL_3LF",
+                                   [((m,), (r, b, l, m)) for m in _masks(0, l)])
                     total, mask = slots3.segment(l, 3 * r + b, 0, l)
                     _assert_brute_match(point3, built, total, (mask,))
             for b in range(3):
                 for b2 in range(b + 1, 3):
                     for l in range(1, T):
                         for lb in range(l):
-                            built = {}
-                            for m1 in _masks(0, lb):
-                                for m2 in _masks(lb + 1, l):
-                                    built[(m1, m2)] = cm.make_two_level_3lf_cut(
-                                        ins, cum, r, b, b2, l, lb, m1, m2)
+                            built = _built(ins, "TL_3LF", [
+                                ((m1, m2), (r, b, b2, l, lb, m1, m2))
+                                for m1 in _masks(0, lb) for m2 in _masks(lb + 1, l)])
                             t1, m1 = slots3.segment(l, 3 * r + b, 0, lb)
                             t2, m2 = slots3.segment(l, 3 * r + b2, lb + 1, l)
                             _assert_brute_match(point3, built, t1 + t2, (m1, m2))
             for l in range(2, T):
                 for l0 in range(l - 1):
                     for l1 in range(l0 + 1, l):
-                        built = {}
-                        for m0 in _masks(0, l0):
-                            for m1 in _masks(l0 + 1, l1):
-                                for m2 in _masks(l1 + 1, l):
-                                    built[(m0, m1, m2)] = \
-                                        cm.make_three_level_3lf_cut(
-                                            ins, cum, r, l, l0, l1, m0, m1, m2)
+                        built = _built(ins, "THL_3LF", [
+                            ((m0, m1, m2), (r, l, l0, l1, m0, m1, m2))
+                            for m0 in _masks(0, l0) for m1 in _masks(l0 + 1, l1)
+                            for m2 in _masks(l1 + 1, l)])
                         t0, m0 = slots3.segment(l, 3 * r, 0, l0)
                         t1, m1 = slots3.segment(l, 3 * r + 1, l0 + 1, l1)
                         t2, m2 = slots3.segment(l, 3 * r + 2, l1 + 1, l)
@@ -359,7 +355,7 @@ def _served(ins, fac):
             if fac in (0, ins.parent[ins.retailer(r)], ins.retailer(r))]
 
 
-def _transfer_cuts(ins, cum, rng):
+def _transfer_cuts(ins, rng):
     """A random aggregated-space cut and the per-retailer cuts whose sum
     must equal it: one draw each of the single-, two- and three-level
     correspondences."""
@@ -370,9 +366,9 @@ def _transfer_cuts(ins, cum, rng):
     l = int(rng.integers(0, T))
     mask = int(rng.integers(0, 1 << (l + 1)))
     b = int(ins.level[fac])
-    std_cut = cm.make_single_level_std_cut(ins, cum, fac, l, mask)
-    parts = [cm.make_single_level_3lf_cut(ins, cum, r, b, l, mask)
-             for r in _served(ins, fac)]
+    key = facility_keys(ins)[fac]
+    std_cut, = cm.make_cuts(ins, "SL_STD", [key + (l, mask)])
+    parts = cm.make_cuts(ins, "SL_3LF", [(r, b, l, mask) for r in _served(ins, fac)])
     out.append((std_cut, parts))
 
     pairs = cm._two_level_pairs(ins)
@@ -384,18 +380,18 @@ def _transfer_cuts(ins, cum, rng):
         succ_masks = tuple(int(rng.integers(0, 1 << (l + 1)))
                            & ~((1 << (li + 1)) - 1) for _ in succ)
         lower = int(ins.level[succ[0]])
-        std_cut = cm.make_two_level_std_cut(ins, cum, fac, lower, l, li,
-                                            upper, succ_masks)
+        key = facility_keys(ins)[fac] + (lower,)
+        std_cut, = cm.make_cuts(ins, "TL_STD", [key + (l, li, upper, succ_masks)])
         b = int(ins.level[fac])
-        parts = []
+        params = []
         for r in _served(ins, fac):
             if lower == 1:
                 j = int(ins.parent[ins.retailer(r)])
             else:
                 j = ins.retailer(r)
             m2 = succ_masks[succ.index(j)]
-            parts.append(cm.make_two_level_3lf_cut(ins, cum, r, b, lower,
-                                                   l, li, upper, m2))
+            params.append((r, b, lower, l, li, upper, m2))
+        parts = cm.make_cuts(ins, "TL_3LF", params)
         out.append((std_cut, parts))
 
     if T >= 3:
@@ -409,12 +405,10 @@ def _transfer_cuts(ins, cum, rng):
         r_masks = tuple(int(rng.integers(0, 1 << (l + 1)))
                         & ~((1 << (lw + 1)) - 1)
                         for _ in range(ins.num_retailers))
-        std_cut = cm.make_three_level_std_cut(ins, cum, l, lp, lw, pmask,
-                                              w_masks, r_masks)
-        parts = [cm.make_three_level_3lf_cut(
-            ins, cum, r, l, lp, lw, pmask,
-            w_masks[int(ins.retailer_warehouse[r])], r_masks[r])
-            for r in range(ins.num_retailers)]
+        std_cut, = cm.make_cuts(ins, "THL_STD", [(l, lp, lw, pmask, w_masks, r_masks)])
+        parts = cm.make_cuts(ins, "THL_3LF", [
+            (r, l, lp, lw, pmask, w_masks[int(ins.retailer_warehouse[r])], r_masks[r])
+            for r in range(ins.num_retailers)])
         out.append((std_cut, parts))
     return out
 
@@ -436,8 +430,7 @@ def test_lemma_suite():
         objs = fm.objective_value(fm.build_std(ins), mapped)
         assert abs(objs - obj3) <= 1e-6 * max(1.0, abs(obj3))
 
-        cum = cumulative_demand(ins)
-        for std_cut, parts in _transfer_cuts(ins, cum, rng):
+        for std_cut, parts in _transfer_cuts(ins, rng):
             rhs_sum = sum(p.rhs for p in parts)
             assert abs(std_cut.rhs - rhs_sum) <= 1e-9 * max(1.0, abs(rhs_sum))
             lhs_std = cm.eval_inequality(std_cut, mapped) + std_cut.rhs

@@ -125,6 +125,37 @@ def test_lp_solve_unwritable_output_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+UNBOUNDED_LP = "Minimize\n obj: - x_p_t1\nEnd\n"
+INFEASIBLE_LP = "Minimize\n obj: x_p_t1\nSubject To\n c1: x_p_t1 <= -1\nEnd\n"
+
+
+@pytest.mark.parametrize("text, reason", [(UNBOUNDED_LP, "unbounded"),
+                                          (INFEASIBLE_LP, "infeasible")],
+                         ids=["unbounded", "infeasible"])
+def test_lp_solve_failure_reports_solver_reason(tmp_path, capsys, text, reason):
+    pytest.importorskip("scipy")
+    lp, out = tmp_path / "model.lp", tmp_path / "model.sol"
+    lp.write_text(text)
+    assert lpsolve.main([str(lp), str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"The problem is {reason}. (HiGHS Status")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not HAS_SOLVER, reason="no lotforge-lp-solve and no scipy")
+def test_command_lp_source_reports_solver_reason(tmp_path, capsys):
+    path = gen_file(tmp_path)
+    bad = tmp_path / "infeasible.lp"
+    bad.write_text(INFEASIBLE_LP)
+    # The command swaps the exported model for an infeasible one.
+    template = f"cp {shlex.quote(str(bad))} {{lp}} && {shlex.join(LP_SOLVE_CMD)} {{lp}} {{sol}}"
+    rc = cli.main(["export", str(path), "-o", str(tmp_path / "c.lp"), "--cuts",
+                   "--lp-solver-cmd", template])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == "cuts,0\nrounds,0\nstatus,lp_unavailable\n"
+    assert captured.err.startswith("lp solver failed (exit 1): The problem is infeasible.")
+
+
 @pytest.mark.parametrize("kind", ["std", "3lf-cuts", "mc"])
 def test_constraint_matrix_matches_lil_matrix(kind):
     sparse = pytest.importorskip("scipy.sparse")

@@ -1,13 +1,17 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (convex_combination, lf3_point_from_routes, one_round_cuts,
                       random_routes, tiny_instance)
 from lotforge import cuts as cm
 from lotforge.formulations import VarId, build_3lf, build_std, export_lp, parse_lp
-from lotforge.instance import Instance, cumulative_demand
+from lotforge.instance import (Instance, InstanceSpec, cumulative_demand, facility_keys,
+                               generate)
 from lotforge.oracle import OracleConfig, solve_exact
 from lotforge.solution import from_routes
 from lotforge.formulations import std_point_from_solution
@@ -73,6 +77,13 @@ def masks(lo, hi):
     return out
 
 
+def built_cuts(ins, family, members):
+    """{mask combo: cut} for (combo, params) members, built by one
+    make_cuts call."""
+    combos, params = zip(*members)
+    return dict(zip(combos, cm.make_cuts(ins, family, list(params))))
+
+
 def check_inspection_against_brute(point, built_cuts, inspect_total,
                                    inspect_masks):
     """built_cuts maps each mask combo to a Cut; the inspection result must
@@ -104,7 +115,7 @@ def test_all_zero_point_slack_is_minus_rhs():
     point = zeros_point(ins)
     for l in range(4):
         full = (1 << (l + 1)) - 1
-        cut = cm.make_single_level_std_cut(ins, cum, 0, l, full)
+        cut, = cm.make_cuts(ins, "SL_STD", [(0, 0, l, full)])
         assert cm.eval_inequality(cut, point) == -cum.table[0, 0, l]
 
 
@@ -112,10 +123,8 @@ def test_two_period_hand_computation():
     ins = Instance(num_periods=2, num_warehouses=1, num_retailers=1,
                    retailer_warehouse=[0], demand=[[4, 6]],
                    setup_cost=np.ones((3, 2)), holding_cost=np.ones((3, 2)))
-    cum = cumulative_demand(ins)
-    rfac = ins.retailer(0)
     # l = 1, S = {period 1}: x_r_1 + d_{2,2} * y_r_2 >= d_{1,2} = 10.
-    cut = cm.make_single_level_std_cut(ins, cum, rfac, 1, 0b10)
+    cut, = cm.make_cuts(ins, "SL_STD", [(2, 0, 1, 0b10)])
     point = zeros_point(ins)
     point[VarId("x", 2, 0, 0)] = 4.0
     point[VarId("y", 2, 0, 1)] = 1.0
@@ -128,7 +137,7 @@ def test_two_period_hand_computation():
 def test_zero_point_yields_full_S_cuts():
     ins = fixed_instance()
     point = zeros_point(ins)
-    cuts = cm.separate_single_level_std(ins, point, tol=10.0)
+    cuts = cm.separate(ins, "SL_STD", point, tol=10.0)
     assert cuts
     for cut in cuts:
         b, idx, l, mask = cut.params
@@ -144,15 +153,15 @@ def test_feasible_integer_point_yields_no_cuts():
     sol = from_routes(ins, routes)
     point = std_point_from_solution(ins, sol.x, sol.y, sol.s)
     tol = 1e-9
-    assert cm.separate_single_level_std(ins, point, tol) == []
-    assert cm.separate_two_level_std(ins, point, tol) == []
-    assert cm.separate_three_level_std(ins, point, tol) == []
+    assert cm.separate(ins, "SL_STD", point, tol) == []
+    assert cm.separate(ins, "TL_STD", point, tol) == []
+    assert cm.separate(ins, "THL_STD", point, tol) == []
 
 
 def test_closed_network_two_level_violation():
     ins = fixed_instance()
     point = zeros_point(ins)
-    cuts = cm.separate_two_level_std(ins, point, tol=10.0)
+    cuts = cm.separate(ins, "TL_STD", point, tol=10.0)
     assert cuts
     cum = cumulative_demand(ins)
     for cut in cuts:
@@ -168,14 +177,12 @@ def test_separator_soundness_fractional_points():
     ins = fixed_instance()
     for _ in range(20):
         point = fractional_point_std(ins, rng)
-        for sep in (cm.separate_single_level_std, cm.separate_two_level_std,
-                    cm.separate_three_level_std):
-            for cut in sep(ins, point, tol=1.0):
+        for family in ("SL_STD", "TL_STD", "THL_STD"):
+            for cut in cm.separate(ins, family, point, tol=1.0):
                 assert cm.eval_inequality(cut, point) < -1.0
         point3 = fractional_point_3lf(ins, rng)
-        for sep in (cm.separate_single_level_3lf, cm.separate_two_level_3lf,
-                    cm.separate_three_level_3lf):
-            for cut in sep(ins, point3, tol=1.0):
+        for family in ("SL_3LF", "TL_3LF", "THL_3LF"):
+            for cut in cm.separate(ins, family, point3, tol=1.0):
                 assert cm.eval_inequality(cut, point3) < -1.0
 
 
@@ -191,13 +198,13 @@ def test_validity_all_families_random_integer_solutions():
             sol = from_routes(ins, routes)
             std_point = std_point_from_solution(ins, sol.x, sol.y, sol.s)
             tol = 1e-6
-            assert cm.separate_single_level_std(ins, std_point, tol) == []
-            assert cm.separate_two_level_std(ins, std_point, tol) == []
-            assert cm.separate_three_level_std(ins, std_point, tol) == []
+            assert cm.separate(ins, "SL_STD", std_point, tol) == []
+            assert cm.separate(ins, "TL_STD", std_point, tol) == []
+            assert cm.separate(ins, "THL_STD", std_point, tol) == []
             lf_point = lf3_point_from_routes(ins, routes)
-            assert cm.separate_single_level_3lf(ins, lf_point, tol) == []
-            assert cm.separate_two_level_3lf(ins, lf_point, tol) == []
-            assert cm.separate_three_level_3lf(ins, lf_point, tol) == []
+            assert cm.separate(ins, "SL_3LF", lf_point, tol) == []
+            assert cm.separate(ins, "TL_3LF", lf_point, tol) == []
+            assert cm.separate(ins, "THL_3LF", lf_point, tol) == []
 
 
 # ----------------------------------------------------------------------
@@ -210,10 +217,9 @@ def test_single_level_std_brute_force():
     for _ in range(5):
         point = fractional_point_std(ins, rng)
         slots = cm._Slots(cm._std_chains(ins, cum), point)
-        for fac in range(ins.num_facilities):
+        for fac, key in enumerate(facility_keys(ins)):
             for l in range(4):
-                built = {(m,): cm.make_single_level_std_cut(ins, cum, fac, l, m)
-                         for m in masks(0, l)}
+                built = built_cuts(ins, "SL_STD", [((m,), key + (l, m)) for m in masks(0, l)])
                 total, mask = slots.segment(l, fac, 0, l)
                 check_inspection_against_brute(point, built, total, (mask,))
 
@@ -225,15 +231,13 @@ def test_two_level_std_brute_force():
     point = fractional_point_std(ins, rng)
     slots = cm._Slots(cm._std_chains(ins, cum), point)
     for fac, succ in cm._two_level_pairs(ins):
-        lower = int(ins.level[succ[0]])
+        key = facility_keys(ins)[fac] + (int(ins.level[succ[0]]),)
         for l in range(1, 4):
             for li in range(l):
-                built = {}
                 succ_mask_space = [masks(li + 1, l)] * len(succ)
-                for um in masks(0, li):
-                    for sm in itertools.product(*succ_mask_space):
-                        built[(um,) + sm] = cm.make_two_level_std_cut(
-                            ins, cum, fac, lower, l, li, um, tuple(sm))
+                built = built_cuts(ins, "TL_STD", [
+                    ((um,) + sm, key + (l, li, um, sm))
+                    for um in masks(0, li) for sm in itertools.product(*succ_mask_space)])
                 total, um = slots.segment(l, fac, 0, li)
                 sms = []
                 for j in succ:
@@ -253,13 +257,11 @@ def test_three_level_std_brute_force():
     for l in range(2, 4):
         for lp in range(l - 1):
             for lw in range(lp + 1, l):
-                built = {}
                 spaces = ([masks(0, lp)] + [masks(lp + 1, lw)] * W
                           + [masks(lw + 1, l)] * R)
-                for combo in itertools.product(*spaces):
-                    built[combo] = cm.make_three_level_std_cut(
-                        ins, cum, l, lp, lw, combo[0],
-                        tuple(combo[1:1 + W]), tuple(combo[1 + W:]))
+                built = built_cuts(ins, "THL_STD", [
+                    (combo, (l, lp, lw, combo[0], combo[1:1 + W], combo[1 + W:]))
+                    for combo in itertools.product(*spaces)])
                 total, pm = slots.segment(l, 0, 0, lp)
                 chosen = [pm]
                 for w in range(W):
@@ -282,8 +284,7 @@ def test_single_level_3lf_brute_force():
     for r in range(ins.num_retailers):
         for b in range(3):
             for l in range(4):
-                built = {(m,): cm.make_single_level_3lf_cut(ins, cum, r, b, l, m)
-                         for m in masks(0, l)}
+                built = built_cuts(ins, "SL_3LF", [((m,), (r, b, l, m)) for m in masks(0, l)])
                 total, mask = slots.segment(l, 3 * r + b, 0, l)
                 check_inspection_against_brute(point, built, total, (mask,))
 
@@ -299,11 +300,9 @@ def test_two_level_3lf_brute_force():
             for b2 in range(b + 1, 3):
                 for l in range(1, 4):
                     for lb in range(l):
-                        built = {}
-                        for m1 in masks(0, lb):
-                            for m2 in masks(lb + 1, l):
-                                built[(m1, m2)] = cm.make_two_level_3lf_cut(
-                                    ins, cum, r, b, b2, l, lb, m1, m2)
+                        built = built_cuts(ins, "TL_3LF", [
+                            ((m1, m2), (r, b, b2, l, lb, m1, m2))
+                            for m1 in masks(0, lb) for m2 in masks(lb + 1, l)])
                         t1, m1 = slots.segment(l, 3 * r + b, 0, lb)
                         t2, m2 = slots.segment(l, 3 * r + b2, lb + 1, l)
                         check_inspection_against_brute(point, built, t1 + t2,
@@ -320,12 +319,10 @@ def test_three_level_3lf_brute_force():
         for l in range(2, 4):
             for l0 in range(l - 1):
                 for l1 in range(l0 + 1, l):
-                    built = {}
-                    for m0 in masks(0, l0):
-                        for m1 in masks(l0 + 1, l1):
-                            for m2 in masks(l1 + 1, l):
-                                built[(m0, m1, m2)] = cm.make_three_level_3lf_cut(
-                                    ins, cum, r, l, l0, l1, m0, m1, m2)
+                    built = built_cuts(ins, "THL_3LF", [
+                        ((m0, m1, m2), (r, l, l0, l1, m0, m1, m2))
+                        for m0 in masks(0, l0) for m1 in masks(l0 + 1, l1)
+                        for m2 in masks(l1 + 1, l)])
                     t0, m0 = slots.segment(l, 3 * r, 0, l0)
                     t1, m1 = slots.segment(l, 3 * r + 1, l0 + 1, l1)
                     t2, m2 = slots.segment(l, 3 * r + 2, l1 + 1, l)
@@ -358,7 +355,7 @@ def test_masks_above_bit_62():
         for k in range(T):
             point[VarId("y", b, idx, k)] = 0.1
             point[VarId("x", b, idx, k)] = 5.0 if k % 2 == 0 else 0.0
-    high = [c for c in cm.separate_single_level_std(ins, point, tol=10.0)
+    high = [c for c in cm.separate(ins, "SL_STD", point, tol=10.0)
             if c.params[3] >> 63]
     assert high
     for cut in high:
@@ -367,6 +364,55 @@ def test_masks_above_bit_62():
         assert mask == sum(1 << k for k in range(l + 1)
                            if cum.table[b, k, l] * 0.1 <= point[VarId("x", b, idx, k)])
         assert cm.eval_inequality(cut, point) < -10.0
+
+
+# ----------------------------------------------------------------------
+# make_cuts: a cut is its key
+
+FAMILIES = ("SL_STD", "TL_STD", "THL_STD", "SL_3LF", "TL_3LF", "THL_3LF")
+
+
+def _terms(cut):
+    return cut.key(), cut.rhs, list(cut.coefs.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_make_cuts_rebuilds_separated_cuts(seed):
+    rng = np.random.default_rng(seed)
+    ins = tiny_instance(rng)
+    points = {"STD": fractional_point_std(ins, rng), "3LF": fractional_point_3lf(ins, rng)}
+    found = 0
+    for family in FAMILIES:
+        cuts = cm.separate(ins, family, points[family.partition("_")[2]], tol=1.0)
+        rebuilt = cm.make_cuts(ins, family, [cut.params for cut in cuts])
+        assert list(map(_terms, rebuilt)) == list(map(_terms, cuts))
+        found += len(cuts)
+    assert found
+
+
+@pytest.mark.parametrize("family, params", [
+    ("SL_STD", (0, 0, -1, 1)),            # l below the first horizon end
+    ("SL_STD", (0, 0, 9, 1)),             # l past the horizon
+    ("SL_STD", (0, 0, 2, 0b110000)),      # mask bits past l
+    ("SL_STD", (0, 0, 2, -1)),            # negative mask
+    ("SL_STD", (0, 0, 2)),                # too short
+    ("SL_STD", (0, 0, 2, 1, 1)),          # too long
+    ("SL_STD", (5, 0, 2, 1)),             # no facility at level 5
+    ("SL_3LF", (0, 3, 2, 1)),             # no level 3 on a path
+    ("TL_STD", (2, 0, 3, 2, 0, 1, (4,))),  # a retailer has no successors
+    ("TL_STD", (0, 0, 1, 2, 0, 1, [4, 4])),  # tier masks must be a tuple
+    ("TL_STD", (0, 0, 1, 2, 0, 1, (4,))),  # one mask for two warehouses
+    ("TL_3LF", (0, 0, 1, 1, 2, 1, 0)),    # split point past l
+    ("TL_3LF", (0, 0, 1, 1, -1, 0, 3)),   # split point below 0
+    ("TL_3LF", (0, 0, 1, 2, 0, 0b11, 0)),  # first tier mask past its segment
+    ("THL_3LF", (0, 3, 1, 1, 1, 2, 8)),   # split points not increasing
+    ("THL_STD", (3, 0, 1, 1, (2, 2), (12,) * 3)),  # one retailer mask short
+])
+def test_make_cuts_rejects_params_naming_no_member(family, params):
+    ins = generate(InstanceSpec(4, 2, 4, seed=1))
+    with pytest.raises(ValueError, match=re.escape(f"{params!r}") + ".* " + family):
+        cm.make_cuts(ins, family, [params])
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +465,7 @@ def test_loop_scripted_mock_matches_expected_pool():
         return next(replies)
 
     result = cm.cutting_plane_loop(ins, build_std(ins), source)
-    expected = cm.separate_single_level_std(ins, bad, 10.0)
+    expected = cm.separate(ins, "SL_STD", bad, 10.0)
     assert {c.key() for c in result.cuts} == {c.key() for c in expected}
     assert result.rounds == 2
     # Round two's model must include the round-one pool.
@@ -472,7 +518,7 @@ def _cut_rows(model):
 
 def test_add_cuts_exported_rows():
     ins = fixed_instance()
-    cuts = cm.separate_single_level_std(ins, zeros_point(ins), 10.0)
+    cuts = cm.separate(ins, "SL_STD", zeros_point(ins), 10.0)
     model = cm.add_cuts_to_model(build_std(ins), cuts)
     text = export_lp(model)
     assert f"cut_SL_STD_{len(cuts) - 1}:" in text
