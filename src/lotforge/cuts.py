@@ -93,7 +93,8 @@ class Cut:
 def eval_inequality(cut: Cut, point: VarValueMap) -> float:
     """Signed slack lhs - rhs; >= 0 means the point satisfies the cut."""
     lhs = 0.0
-    for var, coef in cut.coefs.items():
+    for slot, coef in zip(cut.slots.tolist(), cut.vals.tolist()):
+        var = cut.slot_vars[slot]
         if var not in point:
             raise KeyError(f"point is missing variable {var.name()}")
         lhs += coef * point[var]

@@ -1,14 +1,17 @@
 """Multi-start randomized bottom-up DP heuristic.
 
 Each iteration inflates warehouse and retailer setup costs by an
-independent uniform factor in [1, 1 + alpha], then plans bottom-up
-with one batched lot-sizing DP call per level: all retailers, then all
-warehouses fed by the retailer shipments, then the plant fed by the
-warehouse shipments (the plant keeps its original costs). The
-assembled solution is always costed with the original instance costs.
+independent uniform factor in [1, 1 + alpha], then plans bottom-up: all
+retailers, then all warehouses fed by the retailer shipments, then the
+plant fed by the warehouse shipments (the plant keeps its original
+costs). The assembled solution is always costed with the original
+instance costs.
 
-Iteration i draws from a generator seeded with (seed, i), so its result
-does not depend on which iterations ran before it.
+Iterations run C at a time, as many as fit a fixed element budget, with
+one batched lot-sizing DP call per level for all C; the best solution is
+kept as the chunks go. Iteration i draws from a generator seeded with
+(seed, i) and is planned and costed as if it ran alone, so results
+depend neither on C nor on which iterations ran before it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ import numpy as np
 
 from .instance import Instance, validate
 from .lotsizing_dp import solve_uls
-from .solution import Solution, evaluate_cost
+from .solution import Solution, evaluate_cost  # noqa: F401  (perfbench's tracer wraps it)
 
 DEFAULT_ALPHA = 0.20
 DEFAULT_ITERATIONS = 500
+# Elements per (C, F, T) array of a chunk of C iterations; bigger chunks
+# cost more peak memory than they save time.
+_CHUNK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -59,36 +65,46 @@ def randomize_setup_costs(instance: Instance, alpha: float,
     return out
 
 
-def _one_iteration(instance: Instance, alpha: float, seed: int,
-                   iteration: int) -> Solution:
-    rng = np.random.default_rng((seed, iteration))
-    rand_sc = randomize_setup_costs(instance, alpha, rng)
+def _chunk(instance: Instance, alpha: float, seed: int, first: int,
+           count: int) -> list[Solution]:
+    """The solutions of iterations first, ..., first + count - 1."""
     F, T, W = instance.num_facilities, instance.num_periods, instance.num_warehouses
     retailers, warehouses, plant = slice(1 + W, F), slice(1, 1 + W), slice(0, 1)
+    rand_sc = np.stack([randomize_setup_costs(instance, alpha, np.random.default_rng((seed, i)))
+                        for i in range(first, first + count)])
 
-    x = np.zeros((F, T))
-    y = np.zeros((F, T))
+    x = np.zeros((count, F, T))
+    y = np.zeros((count, F, T))
     # Per-facility outflow: retailer demand, or shipments to successors.
-    # Each level's outflow is the demand its DP batch plans for.
-    out = np.zeros((F, T))
+    # A level's outflow in all C iterations is the demand its DP batch plans.
+    out = np.zeros((count, F, T))
 
     def plan(level: slice) -> None:
-        p = solve_uls(out[level], rand_sc[level], instance.holding_cost[level])
-        x[level], y[level] = p.produce, p.setup
+        shape = x[:, level].shape
+        p = solve_uls(out[:, level].reshape(-1, T), rand_sc[:, level].reshape(-1, T),
+                      np.tile(instance.holding_cost[level], (count, 1)))
+        x[:, level], y[:, level] = p.produce.reshape(shape), p.setup.reshape(shape)
 
-    out[retailers] = instance.demand
+    out[:, retailers] = instance.demand
     plan(retailers)
-    np.add.at(out, instance.parent[retailers], x[retailers])
+    np.add.at(out, (slice(None), instance.parent[retailers]), x[:, retailers])
     plan(warehouses)
-    out[0] = x[warehouses].sum(axis=0)
+    out[:, 0] = x[:, warehouses].sum(axis=1)
     plan(plant)
 
     # Stocks follow from flow balance; the DPs never ship early, so all
     # stocks come out nonnegative.
-    s = np.cumsum(x - out, axis=1)
-    sol = Solution(x=x, y=y, s=s, cost=0.0)
-    sol.cost = evaluate_cost(instance, sol)
-    return sol
+    s = np.subtract(x, out, out=out).cumsum(axis=2, out=out)
+    # Each iteration's cost is evaluate_cost's pairwise sum, over one (F*T,)
+    # row; the products overwrite rand_sc, which the DPs are done with.
+    cost = (np.multiply(instance.setup_cost, y, out=rand_sc).reshape(count, -1).sum(axis=1)
+            + np.multiply(instance.holding_cost, s, out=rand_sc).reshape(count, -1).sum(axis=1))
+    return [Solution(x=x[c], y=y[c], s=s[c], cost=float(cost[c])) for c in range(count)]
+
+
+def _one_iteration(instance: Instance, alpha: float, seed: int,
+                   iteration: int) -> Solution:
+    return _chunk(instance, alpha, seed, iteration, 1)[0]
 
 
 def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
@@ -97,12 +113,17 @@ def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     start = time.perf_counter()
-    costs = [_one_iteration(instance, config.alpha, config.seed, it).cost
-             for it in range(1, config.iterations + 1)]
-
-    # Deterministic fold: min cost, ties to the lowest iteration index.
-    best_idx = min(range(len(costs)), key=lambda i: (costs[i], i))
-    best = _one_iteration(instance, config.alpha, config.seed, best_idx + 1)
+    n = config.iterations
+    step = max(1, _CHUNK_ELEMENTS // (instance.num_facilities * instance.num_periods))
+    costs, best = [], None
+    for first in range(1, n + 1, step):
+        for sol in _chunk(instance, config.alpha, config.seed, first,
+                          min(step, n + 1 - first)):
+            costs.append(sol.cost)
+            # Min cost, ties to the lowest index; the best owns its arrays.
+            if best is None or sol.cost < best.cost:
+                best = Solution(x=sol.x.copy(), y=sol.y.copy(), s=sol.s.copy(), cost=sol.cost)
+        del sol  # frees the chunk's arrays before the next chunk is built
     wall = time.perf_counter() - start
-    return HeuristicResult(best=best, best_cost=costs[best_idx],
+    return HeuristicResult(best=best, best_cost=best.cost,
                            per_iteration_costs=costs, wall_time=wall)

@@ -33,8 +33,8 @@ def solve_uls(demand, setup_cost, holding_cost) -> UlsPlan:
     if d.ndim not in (1, 2) or sc.shape != d.shape or hc.shape != d.shape:
         raise ValueError("demand, setup_cost and holding_cost must share "
                          "a (T,) or (B, T) shape")
-    if not ((d >= 0).all() and (sc >= 0).all() and (hc >= 0).all()):
-        raise ValueError("inputs must be nonnegative")
+    if not all(np.isfinite(a).all() and (a >= 0).all() for a in (d, sc, hc)):
+        raise ValueError("inputs must be finite and nonnegative")
     single = d.ndim == 1
     # Period-major (T, B) views: row t holds period t of every facility.
     d, sc, hc = (a[:, None] if single else a.T for a in (d, sc, hc))
@@ -54,9 +54,12 @@ def solve_uls(demand, setup_cost, holding_cost) -> UlsPlan:
     best = np.zeros((T + 1, B))
     start = np.zeros((T + 1, B), dtype=np.intp)
     for t in range(1, T + 1):
+        # cost = (best[k-1] + hold) + setup, built in place: + commutes.
         block = Dcum[t] - Dcum[:t]
-        hold = (Gcum[t] - Gcum[:t]) - Hcum[:t] * block
-        cost = best[:t] + hold + np.where(block > 0, sc[:t], 0.0)
+        cost = Gcum[t] - Gcum[:t]
+        cost -= Hcum[:t] * block
+        cost += best[:t]
+        cost += np.where(block > 0, sc[:t], 0.0)
         start[t] = cost.argmin(axis=0)
         best[t] = cost.min(axis=0)
 

@@ -20,7 +20,7 @@ from conftest import (convex_combination, lf3_point_from_routes,
 from lotforge import cuts as cm
 from lotforge import formulations as fm
 from lotforge.cli import gap_to_best_known, make_command_lp_source
-from lotforge.heuristic import HeuristicConfig, _one_iteration, run
+from lotforge.heuristic import HeuristicConfig, _chunk, _one_iteration, run
 from lotforge.instance import (DemandType, FixedCostType, InstanceSpec,
                                NetworkShape, cumulative_demand, facility_keys,
                                generate, write_instance)
@@ -139,8 +139,7 @@ def test_heuristic_soundness():
     for _ in range(50):
         ins = _tiny_benchmark_instance(rng)
         costs = []
-        for it in range(1, 501):
-            sol = _one_iteration(ins, 0.20, 5, it)
+        for sol in _chunk(ins, 0.20, 5, 1, 500):
             assert check_feasible(ins, sol, tol=1e-6) == []
             costs.append(sol.cost)
         best = min(costs)

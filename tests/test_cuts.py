@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (convex_combination, lf3_point_from_routes, one_round_cuts,
@@ -376,6 +376,25 @@ def _terms(cut):
     return cut.key(), cut.rhs, list(cut.coefs.items())
 
 
+def test_eval_inequality_matches_coefs_sum():
+    # The slack is summed over the cut's slots in term order, bit for bit
+    # the sum over its coefs dict.
+    rng = np.random.default_rng(21)
+    found = dict.fromkeys(FAMILIES, 0)
+    for _ in range(10):
+        ins = tiny_instance(rng)
+        points = {"STD": fractional_point_std(ins, rng), "3LF": fractional_point_3lf(ins, rng)}
+        for family in FAMILIES:
+            point = points[family.partition("_")[2]]
+            for cut in cm.separate(ins, family, point, tol=1.0):
+                lhs = 0.0
+                for var, coef in cut.coefs.items():
+                    lhs += coef * point[var]
+                assert cm.eval_inequality(cut, point) == lhs - cut.rhs
+                found[family] += 1
+    assert all(found.values()), found
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_make_cuts_rebuilds_separated_cuts(seed):
@@ -388,7 +407,10 @@ def test_make_cuts_rebuilds_separated_cuts(seed):
         rebuilt = cm.make_cuts(ins, family, [cut.params for cut in cuts])
         assert list(map(_terms, rebuilt)) == list(map(_terms, cuts))
         found += len(cuts)
-    assert found
+    # About 1 seed in 200 draws a point with no cut in any family (seed
+    # 3336: one retailer demand, in the last period); such examples are
+    # discarded, and hypothesis fails if it cannot find enough others.
+    assume(found)
 
 
 @pytest.mark.parametrize("family, params", [

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_instance
-from lotforge.heuristic import (HeuristicConfig, _one_iteration,
+from lotforge import heuristic
+from lotforge.heuristic import (HeuristicConfig, _chunk, _one_iteration,
                                 randomize_setup_costs, run)
 from lotforge.instance import Instance, InstanceSpec, generate
 from lotforge.lotsizing_dp import solve_uls
 from lotforge.oracle import OracleConfig, solve_exact
-from lotforge.solution import check_feasible, evaluate_cost
+from lotforge.solution import Solution, check_feasible, evaluate_cost
 
 
 def test_config_validation():
@@ -125,6 +126,62 @@ def test_best_solution_feasible_with_nonnegative_stock(ins, alpha, iterations, s
     best = run(ins, HeuristicConfig(alpha=alpha, iterations=iterations, seed=seed)).best
     assert check_feasible(ins, best) == []
     assert (best.s >= 0).all()
+
+
+def _same_solution(a, b):
+    return (a.cost == b.cost and a.x.tobytes() == b.x.tobytes()
+            and a.y.tobytes() == b.y.tobytes() and a.s.tobytes() == b.s.tobytes())
+
+
+def _check_chunk_size_independence(ins, config):
+    # Budgets for one iteration per chunk, chunks of three (an uneven last
+    # chunk unless iterations % 3 == 0), and all iterations in one chunk.
+    FT = ins.num_facilities * ins.num_periods
+    results = []
+    for budget in (1, 3 * FT, config.iterations * FT):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heuristic, "_CHUNK_ELEMENTS", budget)
+            results.append(run(ins, config))
+    for other in results[1:]:
+        assert other.per_iteration_costs == results[0].per_iteration_costs
+        assert other.best_cost == results[0].best_cost
+        assert _same_solution(other.best, results[0].best)
+    # Every solution of a chunk is the one its iteration gives alone.
+    first = 2 if config.iterations > 2 else 1
+    for c, sol in enumerate(_chunk(ins, config.alpha, config.seed, first,
+                                   config.iterations - first + 1)):
+        assert _same_solution(sol, _one_iteration(ins, config.alpha, config.seed, first + c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_instances(), st.floats(0, 1), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_results_do_not_depend_on_chunk_size(ins, alpha, iterations, seed):
+    _check_chunk_size_independence(
+        ins, HeuristicConfig(alpha=alpha, iterations=iterations, seed=seed))
+
+
+def test_results_do_not_depend_on_chunk_size_at_benchmark_scale():
+    _check_chunk_size_independence(generate(InstanceSpec(200, 20, 30, seed=0)),
+                                   HeuristicConfig(iterations=20, seed=0))
+
+
+def test_cost_ties_go_to_the_lowest_iteration(monkeypatch):
+    # Iterations 2 and 3 tie at the lowest cost with different plans; the
+    # best is iteration 2's, whether the tie is inside a chunk or across two.
+    ins = tiny_instance(np.random.default_rng(10))
+    shape = (ins.num_facilities, ins.num_periods)
+    costs = {1: 5.0, 2: 1.0, 3: 1.0, 4: 2.0}
+
+    def fake_chunk(instance, alpha, seed, first, count):
+        return [Solution(x=np.full(shape, float(i)), y=np.zeros(shape),
+                         s=np.zeros(shape), cost=costs[i]) for i in range(first, first + count)]
+
+    monkeypatch.setattr(heuristic, "_chunk", fake_chunk)
+    for chunk in (1, 2, 4):
+        monkeypatch.setattr(heuristic, "_CHUNK_ELEMENTS", chunk * shape[0] * shape[1])
+        result = run(ins, HeuristicConfig(iterations=4))
+        assert result.per_iteration_costs == [5.0, 1.0, 1.0, 2.0]
+        assert result.best_cost == 1.0 and (result.best.x == 2.0).all()
 
 
 def test_best_cost_prefix_monotone():

@@ -73,6 +73,13 @@ def test_input_validation():
         solve_uls([-1], [1], [1])
     with pytest.raises(ValueError):
         solve_uls([1], [1], [-0.5])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_uls([5, 5, 5], [10, 10, 10], [1, bad, 1])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_uls([[5, bad]], [[10, 10]], [[1, 1]])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_uls([5, 5], [10, bad], [1, 1])
 
 
 def test_setup_only_when_producing():
