@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (convex_combination, lf3_point_from_routes, one_round_cuts,
@@ -407,10 +407,7 @@ def test_make_cuts_rebuilds_separated_cuts(seed):
         rebuilt = cm.make_cuts(ins, family, [cut.params for cut in cuts])
         assert list(map(_terms, rebuilt)) == list(map(_terms, cuts))
         found += len(cuts)
-    # About 1 seed in 200 draws a point with no cut in any family (seed
-    # 3336: one retailer demand, in the last period); such examples are
-    # discarded, and hypothesis fails if it cannot find enough others.
-    assume(found)
+    assert found
 
 
 @pytest.mark.parametrize("family, params", [
