@@ -144,14 +144,14 @@ def _cmd_pre(args) -> int:
     return 0
 
 
-def make_command_lp_source(template: str, relax: bool = True):
+def make_command_lp_source(template: str):
     """lp_source callback that shells out to an external LP solver.
 
-    The template must contain {lp} and {sol} and may contain {relax}
-    (--relax when relax is true, else nothing); any other field or a stray
-    brace raises ValueError. The command reads the LP file and writes
-    '<name> <value>' lines (an 'objective <value>' line is skipped). When
-    it fails, its exit code and last stderr line go to stderr."""
+    The template must contain {lp} and {sol} and may contain {relax},
+    which expands to --relax; any other field or a stray brace raises
+    ValueError. The command reads the LP file and writes '<name> <value>'
+    lines (an 'objective <value>' line is skipped). When it fails, its
+    exit code and last stderr line go to stderr."""
     try:
         template.format(lp="", sol="", relax="")
     except (KeyError, IndexError, AttributeError, ValueError) as exc:
@@ -163,7 +163,7 @@ def make_command_lp_source(template: str, relax: bool = True):
             sol_path = os.path.join(tmp, "model.sol")
             Path(lp_path).write_text(fm.export_lp(model))
             cmd = template.format(lp=shlex.quote(lp_path), sol=shlex.quote(sol_path),
-                                  relax="--relax" if relax else "")
+                                  relax="--relax")
             proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
             if proc.returncode != 0 or not os.path.exists(sol_path):
                 last = proc.stderr.strip().rpartition("\n")[2]
@@ -223,9 +223,9 @@ def _cmd_export(args) -> int:
         heur = run_heuristic(instance, HeuristicConfig(seed=args.seed))
         point = fm.std_point_from_solution(instance, heur.best.x, heur.best.y,
                                            heur.best.s)
-        declared = set(model.var_ids[:model.declared])  # y only, unless STD
+        columns = set(model.var_ids)  # y only, unless STD
         Path(args.mip_start).write_text(fm.export_mip_start(
-            {var: val for var, val in point.items() if var in declared}))
+            {var: val for var, val in point.items() if var in columns}))
     return 0
 
 

@@ -122,8 +122,8 @@ class Constraint(NamedTuple):
 SENSES = ("=", "<=", ">=")
 _EQ, _LE, _GE = range(len(SENSES))
 _SENSE = {sense: code for code, sense in enumerate(SENSES)}
-_FIELDS = ("kind", "family", "b", "idx", "k", "t", "lb", "ub", "binary", "declared",
-           "obj_cols", "obj_vals", "row_names", "sense", "rhs", "indptr", "indices", "data")
+_FIELDS = ("kind", "family", "b", "idx", "k", "t", "lb", "ub", "binary", "obj_cols",
+           "obj_vals", "row_names", "sense", "rhs", "indptr", "indices", "data")
 
 
 def _floats(values: np.ndarray) -> list[float]:
@@ -137,39 +137,32 @@ def _floats(values: np.ndarray) -> list[float]:
 class MipModel:
     """A MIP as a column table with CSR rows.
 
-    Column j is the variable (FAMILIES[family[j]], b[j], idx[j], k[j],
-    t[j]) with bounds lb[j]..ub[j] and flag binary[j]; the first
-    `declared` columns are the model's variables in declaration order,
-    and any later one is a variable that only terms reference (check()
-    rejects them). The objective is obj_cols/obj_vals in insertion order.
-    Row i is row_names[i] with the terms indices/data[indptr[i]:indptr[i +
-    1]] in insertion order (explicit zeros kept), SENSES[sense[i]] and
-    rhs[i]."""
+    Column j is the declared variable (FAMILIES[family[j]], b[j], idx[j],
+    k[j], t[j]) with bounds lb[j]..ub[j] and flag binary[j], in
+    declaration order; every term's column is one of them. The objective
+    is obj_cols/obj_vals in insertion order. Row i is row_names[i] with
+    the terms indices/data[indptr[i]:indptr[i + 1]] in insertion order
+    (explicit zeros kept), SENSES[sense[i]] and rhs[i]."""
 
     def __init__(self, kind: str, variables, objective, constraints):
         """A model assembled from dict parts: VarDecls, an objective dict
         and Constraints. A variable declared twice is referenced at its
-        last declaration."""
+        last declaration; a term whose variable is not declared raises
+        ValueError."""
         ids = [decl.var for decl in variables]
         where = {var: j for j, var in enumerate(ids)}
-
-        def column(var: VarId) -> int:
-            if var not in where:
-                where[var] = len(ids)
-                ids.append(var)
-            return where[var]
-
-        obj_cols = [column(var) for var in objective]
         names, coefs, senses, rhs = tuple(zip(*constraints)) or ((),) * 4
-        indices = list(map(column, chain.from_iterable(coefs)))
-        pad = [(0.0, INF, False)] * (len(ids) - len(variables))
-        bounds = np.array([d[1:] for d in variables] + pad, dtype=float).reshape(-1, 3)
-        lb, ub, binary = bounds.T
+        try:
+            obj_cols = list(map(where.__getitem__, objective))
+            indices = list(map(where.__getitem__, chain.from_iterable(coefs)))
+        except KeyError as exc:
+            raise ValueError(f"a term references undeclared {exc.args[0].name()}") from None
+        lb, ub, binary = np.array([d[1:] for d in variables], dtype=float).reshape(-1, 3).T
         family, *fields = tuple(zip(*ids)) or ((),) * 5
         self.__dict__.update(
             kind=kind, family=np.array([_FAMILY[f] for f in family], dtype=np.intp),
             **dict(zip(("b", "idx", "k", "t"), (np.array(a, dtype=np.intp) for a in fields))),
-            lb=lb, ub=ub, binary=binary != 0, declared=len(variables),
+            lb=lb, ub=ub, binary=binary != 0,
             obj_cols=np.array(obj_cols, dtype=np.intp),
             obj_vals=np.array(list(objective.values()), dtype=float), row_names=list(names),
             sense=np.array([_SENSE[sense] for sense in senses], dtype=np.int8),
@@ -213,9 +206,8 @@ class MipModel:
 
     @cached_property
     def variables(self) -> list[VarDecl]:
-        n = self.declared
-        return list(map(VarDecl, self.var_ids[:n], _floats(self.lb[:n]), _floats(self.ub[:n]),
-                        self.binary[:n].tolist()))
+        return list(map(VarDecl, self.var_ids, _floats(self.lb), _floats(self.ub),
+                        self.binary.tolist()))
 
     @cached_property
     def objective(self) -> dict[VarId, float]:
@@ -232,12 +224,6 @@ class MipModel:
 
     def bounds(self) -> dict[VarId, VarDecl]:
         return {d.var: d for d in self.variables}
-
-    def check(self) -> None:
-        """Raise ValueError if a term references an undeclared variable."""
-        if self.declared < len(self.family):
-            raise ValueError(f"a term references undeclared "
-                             f"{self.var_ids[self.declared].name()}")
 
     def __repr__(self) -> str:
         return (f"MipModel(kind={self.kind!r}, variables={self.variables!r}, "
@@ -272,7 +258,7 @@ def _model(kind: str, blocks, obj, names: list[str], sense, rhs, n_slots: int,
     return MipModel.from_arrays(
         kind=kind,
         **dict(zip(("family", "b", "idx", "k", "t"), (a.astype(np.intp) for a in ints))),
-        lb=np.zeros(len(ub)), ub=ub.astype(float), binary=binary, declared=len(ub),
+        lb=np.zeros(len(ub)), ub=ub.astype(float), binary=binary,
         obj_cols=obj[0].astype(np.intp), obj_vals=obj[1].astype(float), row_names=names,
         sense=np.asarray(sense, dtype=np.int8).ravel(), rhs=rhs.ravel(),
         indptr=np.r_[0, np.cumsum(np.bincount(row, minlength=len(names)))],
@@ -425,9 +411,9 @@ def objective_value(model: MipModel, point: VarValueMap) -> float:
 def evaluate_point(model: MipModel, point: VarValueMap,
                    tol: float = 1e-6) -> list[str]:
     """Names of all rows and bounds violated by a point (absent = 0)."""
-    ids, n = model.var_ids, model.declared
+    ids = model.var_ids
     x = np.array([point.get(var, 0.0) for var in ids], dtype=float)
-    out = (x[:n] < model.lb[:n] - tol) | (x[:n] > model.ub[:n] + tol)
+    out = (x < model.lb - tol) | (x > model.ub + tol)
     bad = [f"bound:{ids[j].name()}" for j in np.flatnonzero(out).tolist()]
     m = len(model.row_names)
     row = np.repeat(np.arange(m), np.diff(model.indptr))
@@ -442,19 +428,16 @@ def evaluate_point(model: MipModel, point: VarValueMap,
 # LP-format text
 
 
-def _written_terms(indptr, indices, data, declared: int,
-                   spaced) -> tuple[np.ndarray, np.ndarray]:
+def _written_terms(indptr, indices, data, spaced) -> tuple[np.ndarray, np.ndarray]:
     """The pieces of CSR rows' written terms, row after row, and each
     row's term count. A term is two pieces, "± |c| " and "name ", built
-    once per distinct value and per column.
-
-    Zero coefficients are left out. A row's terms appear in declaration
-    order, undeclared variables last in insertion order."""
+    once per distinct value and per column (spaced: each column's name
+    and a space). Zero coefficients are left out, and a row's terms
+    appear in column order."""
     keep = data != 0.0
     row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[keep]
     col = indices[keep]
-    key = np.where(col < declared, col, declared + np.flatnonzero(keep))
-    order = np.argsort(row * (declared + len(data)) + key)
+    order = np.argsort(row * len(spaced) + col)
     values, which = np.unique(data[keep], return_inverse=True)
     signed = np.array([f"{'-' if v < 0 else '+'} {abs(v)!r} " for v in values.tolist()],
                       dtype=object)
@@ -467,9 +450,9 @@ def export_lp(model: MipModel) -> str:
     written a block of about 2**16 terms at a time, which bounds the
     memory of the term pieces."""
     names = np.array(model.map_columns(_name), dtype=object)
-    spaced, n = names + " ", model.declared
+    spaced = names + " "
     obj, _ = _written_terms(np.array([0, len(model.obj_cols)]), model.obj_cols,
-                            model.obj_vals, n, spaced)
+                            model.obj_vals, spaced)
     out = [f"\\ kind: {model.kind}\nMinimize\n obj: {''.join(obj)[:-1]}\nSubject To\n"]
     indptr, m = model.indptr, len(model.row_names)
     starts = np.searchsorted(indptr, np.arange(0, indptr[-1], 1 << 16), side="right") - 1
@@ -477,7 +460,7 @@ def export_lp(model: MipModel) -> str:
     for lo, hi in zip(edges, edges[1:]):
         a, b = indptr[lo], indptr[hi]
         terms, counts = _written_terms(indptr[lo:hi + 1] - a, model.indices[a:b],
-                                       model.data[a:b], n, spaced)
+                                       model.data[a:b], spaced)
         terms, ptr = terms.tolist(), np.r_[0, 2 * np.cumsum(counts)].tolist()
         # An empty row keeps the space that would have preceded its terms.
         out += [f" {name}: {''.join(terms[p:q]) if q > p else ' '}{SENSES[sense]} {rhs!r}\n"
@@ -485,9 +468,9 @@ def export_lp(model: MipModel) -> str:
                                                   model.sense[lo:hi].tolist(),
                                                   model.rhs[lo:hi].tolist())]
     out.append("Bounds\n")
-    lb, ub, binary = model.lb[:n], model.ub[:n], model.binary[:n]
+    lb, ub, binary = model.lb, model.ub, model.binary
     shown = ~binary & ~((lb == 0.0) & (ub == INF))
-    for name, low, up in zip(names[:n][shown].tolist(), lb[shown].tolist(),
+    for name, low, up in zip(names[shown].tolist(), lb[shown].tolist(),
                              ub[shown].tolist()):
         if low == up:
             out.append(f" {name} = {low!r}\n")
@@ -496,7 +479,7 @@ def export_lp(model: MipModel) -> str:
         else:
             out.append(f" {low!r} <= {name} <= {up!r}\n")
     out.append("Binaries\n")
-    out.extend(f" {name}\n" for name in names[:n][binary].tolist())
+    out.extend(f" {name}\n" for name in names[binary].tolist())
     out.append("End\n")
     return "".join(out)
 
@@ -817,7 +800,7 @@ def parse_lp(text: str) -> MipModel:
     lb[at], ub[at], binary[at] = 0.0, 1.0, True
     return MipModel.from_arrays(
         kind=kind, **dict(zip(("family", "b", "idx", "k", "t"), values[order].T)),
-        lb=lb, ub=ub, binary=binary, declared=n, obj_cols=col[obj_vid], obj_vals=obj_vals,
+        lb=lb, ub=ub, binary=binary, obj_cols=col[obj_vid], obj_vals=obj_vals,
         row_names=names, sense=row_sense, rhs=rhs,
         indptr=np.r_[0, np.cumsum(counts)].astype(np.intp), indices=col[row_vid], data=data)
 

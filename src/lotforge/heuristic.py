@@ -102,11 +102,6 @@ def _chunk(instance: Instance, alpha: float, seed: int, first: int,
     return [Solution(x=x[c], y=y[c], s=s[c], cost=float(cost[c])) for c in range(count)]
 
 
-def _one_iteration(instance: Instance, alpha: float, seed: int,
-                   iteration: int) -> Solution:
-    return _chunk(instance, alpha, seed, iteration, 1)[0]
-
-
 def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
     problems = validate(instance)
     if problems:

@@ -121,10 +121,6 @@ class Instance:
     def num_facilities(self) -> int:
         return 1 + self.num_warehouses + self.num_retailers
 
-    @property
-    def plant(self) -> int:
-        return 0
-
     def warehouse(self, w: int) -> int:
         return 1 + w
 

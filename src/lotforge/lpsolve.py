@@ -25,7 +25,7 @@ def constraint_matrix(model):
     from scipy.sparse import csr_matrix
 
     A = csr_matrix((model.data, model.indices, model.indptr),
-                   shape=(len(model.row_names), model.declared), copy=True)
+                   shape=(len(model.row_names), len(model.lb)), copy=True)
     A.eliminate_zeros()
     A.sum_duplicates()
     return A
@@ -36,10 +36,9 @@ def _solve(model, relax: bool):
     import numpy as np
     from scipy.optimize import LinearConstraint, Bounds, milp
 
-    model.check()
-    c = np.zeros(model.declared)
+    c = np.zeros(len(model.lb))
     c[model.obj_cols] = model.obj_vals
-    integrality = np.zeros(model.declared, dtype=int) if relax else model.binary.astype(int)
+    integrality = np.zeros(len(model.lb), dtype=int) if relax else model.binary.astype(int)
     kwargs = {"bounds": Bounds(model.lb, model.ub), "integrality": integrality}
     if model.row_names:
         lo = np.where(model.sense == SENSES.index("<="), -np.inf, model.rhs)

@@ -9,8 +9,7 @@ later due periods t' >= t.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,43 +17,51 @@ from .formulations import FAMILIES, MipModel
 from .instance import Instance
 
 
-@dataclass(frozen=True)
 class RemovalSet:
-    """Triples (retailer, source period k, due period t), 0-based, k < t,
-    marking w2 variables fixed to zero. Closed upward in t per (r, k)."""
+    """The w2 variables fixed to zero, as one read-only (R, T) int array:
+    first[r, k] is the first removed due period of retailer r's shipments
+    from source period k, or T where none is removed (periods 0-based, so
+    first[r, k] > k). The removed triples (r, k, t) are those with
+    t >= first[r, k], so the set is closed upward in t by construction."""
 
-    triples: frozenset[tuple[int, int, int]]
-    num_removed: int
-    num_candidates: int
+    def __init__(self, first):
+        self.first = np.array(first, dtype=np.intp)
+        self.first.setflags(write=False)
+
+    @cached_property
+    def triples(self) -> frozenset[tuple[int, int, int]]:
+        """The removed (retailer, source period k, due period t) triples."""
+        removed = np.arange(self.first.shape[1]) >= self.first[:, :, None]
+        return frozenset(zip(*(a.tolist() for a in np.nonzero(removed))))
+
+    @property
+    def num_removed(self) -> int:
+        return int((self.first.shape[1] - self.first).sum())
+
+    @property
+    def num_candidates(self) -> int:
+        """The (r, k, t) with k < t: every w2 variable that could be removed."""
+        R, T = self.first.shape
+        return R * T * (T - 1) // 2
 
     @property
     def reduction_percent(self) -> float:
-        if self.num_candidates == 0:
-            return 0.0
-        return 100.0 * self.num_removed / self.num_candidates
+        return 100.0 * self.num_removed / self.num_candidates if self.num_candidates else 0.0
 
 
 def compute_removals(instance: Instance) -> RemovalSet:
-    T, R = instance.num_periods, instance.num_retailers
-    triples = set()
-    for r in range(R):
-        rfac = instance.retailer(r)
-        wfac = instance.parent[rfac]
-        hr = np.concatenate(([0.0], np.cumsum(instance.holding_cost[rfac])))
-        hw = np.concatenate(([0.0], np.cumsum(instance.holding_cost[wfac])))
-        for k in range(T - 1):
-            # Smallest due period t > k where retailer-side storage is no
-            # cheaper; the upward closure then covers every later t'.
-            for t in range(k + 1, T):
-                d = float(instance.demand[r, t])
-                lhs = d * (hr[t] - hr[k])
-                rhs = d * (hw[t] - hw[k]) + float(instance.setup_cost[rfac, t])
-                if lhs >= rhs:
-                    for tp in range(t, T):
-                        triples.add((r, k, tp))
-                    break
-    pot = R * T * (T - 1) // 2
-    return RemovalSet(frozenset(triples), len(triples), pot)
+    T, rfac = instance.num_periods, instance.retailer(np.arange(instance.num_retailers))
+    # hr[r, k, t] and hw[r, k, t]: the holding cost from period k up to t at
+    # retailer r and at its warehouse, as differences of cumulative costs.
+    cum = (np.cumsum(np.pad(instance.holding_cost[fac], ((0, 0), (1, 0))), axis=1)[:, :T]
+           for fac in (rfac, instance.parent[rfac]))
+    hr, hw = (c[:, None, :] - c[:, :, None] for c in cum)
+    d = instance.demand[:, None, :].astype(float)
+    # Removed from the smallest due period t > k where retailer-side storage
+    # is no cheaper; the upward closure then covers every later t'.
+    removed = ((d * hr >= d * hw + instance.setup_cost[rfac][:, None, :])
+               & (np.arange(T) > np.arange(T)[:, None]))
+    return RemovalSet(np.where(removed.any(axis=2), removed.argmax(axis=2), T))
 
 
 def apply_removals(mc_model: MipModel, removals: RemovalSet) -> MipModel:
@@ -64,10 +71,8 @@ def apply_removals(mc_model: MipModel, removals: RemovalSet) -> MipModel:
     stable name set."""
     if mc_model.kind != "MC":
         raise ValueError(f"expected an MC model, got {mc_model.kind}")
-    n = mc_model.declared
-    w2 = np.flatnonzero((mc_model.family[:n] == FAMILIES.index("w")) & (mc_model.b[:n] == 2))
-    keys = zip(*(a[w2].tolist() for a in (mc_model.idx, mc_model.k, mc_model.t)))
-    fixed = [j for j, key in zip(w2.tolist(), keys) if key in removals.triples]
+    w2 = np.flatnonzero((mc_model.family == FAMILIES.index("w")) & (mc_model.b == 2))
+    fixed = w2[mc_model.t[w2] >= removals.first[mc_model.idx[w2], mc_model.k[w2]]]
     lb, ub = mc_model.lb.copy(), mc_model.ub.copy()
     lb[fixed] = ub[fixed] = 0.0
     return mc_model.replace(lb=lb, ub=ub)
@@ -75,15 +80,9 @@ def apply_removals(mc_model: MipModel, removals: RemovalSet) -> MipModel:
 
 def removal_report_csv(removals: RemovalSet) -> str:
     """CSV rows retailer,k,t_min (1-based periods) plus an np,pot,red line."""
-    first: dict[tuple[int, int], int] = {}
-    for r, k, t in sorted(removals.triples):
-        key = (r, k)
-        if key not in first or t < first[key]:
-            first[key] = t
-    buf = io.StringIO()
-    buf.write("retailer,k,t_min\n")
-    for (r, k), t in sorted(first.items()):
-        buf.write(f"{r},{k + 1},{t + 1}\n")
-    buf.write(f"np,pot,red\n{removals.num_removed},{removals.num_candidates},"
+    first = removals.first
+    r, k = np.nonzero(first < first.shape[1])
+    rows = zip(r.tolist(), k.tolist(), first[r, k].tolist())
+    return ("retailer,k,t_min\n" + "".join(f"{a},{b + 1},{c + 1}\n" for a, b, c in rows)
+            + f"np,pot,red\n{removals.num_removed},{removals.num_candidates},"
               f"{removals.reduction_percent!r}\n")
-    return buf.getvalue()

@@ -20,7 +20,7 @@ from conftest import (convex_combination, lf3_point_from_routes,
 from lotforge import cuts as cm
 from lotforge import formulations as fm
 from lotforge.cli import gap_to_best_known, make_command_lp_source
-from lotforge.heuristic import HeuristicConfig, _chunk, _one_iteration, run
+from lotforge.heuristic import HeuristicConfig, _chunk, run
 from lotforge.instance import (DemandType, FixedCostType, InstanceSpec,
                                NetworkShape, cumulative_demand, facility_keys,
                                generate, write_instance)
@@ -492,7 +492,7 @@ def test_determinism():
     again = run(ins, config)
     # Iteration i depends only on (seed, i): evaluated in reverse order,
     # the iterations give the same costs.
-    reverse = {it: _one_iteration(ins, config.alpha, config.seed, it).cost
+    reverse = {it: _chunk(ins, config.alpha, config.seed, it, 1)[0].cost
                for it in range(config.iterations, 0, -1)}
     assert first.per_iteration_costs == [reverse[it] for it in range(1, 51)]
     assert first.per_iteration_costs == again.per_iteration_costs

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -400,7 +401,17 @@ def test_eval_inequality_matches_coefs_sum():
 def test_make_cuts_rebuilds_separated_cuts(seed):
     rng = np.random.default_rng(seed)
     ins = tiny_instance(rng)
+    # A retailer r whose demand over periods 0..l exceeds 1 (its period-l
+    # demand is raised where it does not) ...
+    r, l = int(rng.integers(ins.num_retailers)), int(rng.integers(ins.num_periods))
+    demand = ins.demand.copy()
+    demand[r, l] += max(0, 2 - demand[r, :l + 1].sum())
+    ins = dataclasses.replace(ins, demand=demand)
     points = {"STD": fractional_point_std(ins, rng), "3LF": fractional_point_3lf(ins, rng)}
+    # ... and none of r's STD flows and setups up to l: r's SL_STD member
+    # (l, S = {}) then has left-hand side 0 against that demand.
+    for k in range(l + 1):
+        points["STD"][VarId("x", 2, r, k)] = points["STD"][VarId("y", 2, r, k)] = 0.0
     found = 0
     for family in FAMILIES:
         cuts = cm.separate(ins, family, points[family.partition("_")[2]], tol=1.0)

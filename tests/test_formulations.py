@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -326,7 +327,8 @@ def test_parse_lp_mutated_text_raises_only_lp_parse_error(build, edits):
         model = fm.parse_lp(text)
     except fm.LpParseError:
         return
-    model.check()
+    columns = len(model.lb)
+    assert (model.indices < columns).all() and (model.obj_cols < columns).all()
 
 
 @pytest.mark.parametrize("text", [
@@ -384,6 +386,15 @@ def test_export_lp_matches_reference(build, seed, cut_round, obj_terms, rows):
     objective.update((var(v), c) for v, c in obj_terms)
     extra = [fm.Constraint(f"extra{n}", {var(v): c for v, c in terms}, sense, rhs)
              for n, (terms, sense, rhs) in enumerate(rows)]
+    known = set(declared)
+    undeclared = [v for v in chain(objective, *(con.coefs for con in extra)) if v not in known]
+    if undeclared:
+        with pytest.raises(ValueError, match=re.escape(undeclared[0].name())):
+            fm.MipModel(model.kind, model.variables, objective, model.constraints + extra)
+        # The draw's declared terms are still compared with the reference.
+        objective = {v: c for v, c in objective.items() if v in known}
+        extra = [con._replace(coefs={v: c for v, c in con.coefs.items() if v in known})
+                 for con in extra]
     model = fm.MipModel(model.kind, model.variables, objective,
                         model.constraints + extra)
     assert fm.export_lp(model) == lp_reference.export_lp(model)

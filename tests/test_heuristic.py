@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_instance
 from lotforge import heuristic
-from lotforge.heuristic import (HeuristicConfig, _chunk, _one_iteration,
-                                randomize_setup_costs, run)
+from lotforge.heuristic import HeuristicConfig, _chunk, randomize_setup_costs, run
 from lotforge.instance import Instance, InstanceSpec, generate
 from lotforge.lotsizing_dp import solve_uls
 from lotforge.oracle import OracleConfig, solve_exact
@@ -82,7 +81,7 @@ def test_every_iterate_feasible_and_costed_with_original_costs():
     for _ in range(5):
         ins = tiny_instance(rng)
         for it in range(1, 21):
-            sol = _one_iteration(ins, 0.2, 11, it)
+            sol = _chunk(ins, 0.2, 11, it, 1)[0]
             assert check_feasible(ins, sol) == []
             assert sol.cost == pytest.approx(evaluate_cost(ins, sol))
 
@@ -95,7 +94,7 @@ def test_serial_parallel_and_rerun_identical():
     again = run(ins, config)
     # Iteration i depends only on (seed, i): evaluated in reverse order,
     # the iterations give the same costs.
-    reverse = {it: _one_iteration(ins, config.alpha, config.seed, it).cost
+    reverse = {it: _chunk(ins, config.alpha, config.seed, it, 1)[0].cost
                for it in range(config.iterations, 0, -1)}
     assert first.per_iteration_costs == again.per_iteration_costs
     assert first.per_iteration_costs == [reverse[it] for it in range(1, 41)]
@@ -150,7 +149,7 @@ def _check_chunk_size_independence(ins, config):
     first = 2 if config.iterations > 2 else 1
     for c, sol in enumerate(_chunk(ins, config.alpha, config.seed, first,
                                    config.iterations - first + 1)):
-        assert _same_solution(sol, _one_iteration(ins, config.alpha, config.seed, first + c))
+        assert _same_solution(sol, _chunk(ins, config.alpha, config.seed, first + c, 1)[0])
 
 
 @settings(max_examples=40, deadline=None)

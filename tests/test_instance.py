@@ -26,7 +26,6 @@ def test_group_name():
 
 def test_flat_indexing_roundtrip():
     ins = generate(spec(4, 2, 3))
-    assert ins.plant == 0
     assert ins.level[0] == 0
     for w in range(2):
         fac = ins.warehouse(w)

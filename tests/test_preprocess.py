@@ -106,8 +106,8 @@ def test_apply_removals_empty_set_is_identity():
     rng = np.random.default_rng(4)
     ins = tiny_instance(rng)
     model = build_mc(ins)
-    empty = RemovalSet(frozenset(), 0, ins.num_retailers
-                       * ins.num_periods * (ins.num_periods - 1) // 2)
+    R, T = ins.num_retailers, ins.num_periods
+    empty = RemovalSet(np.full((R, T), T))
     reduced = apply_removals(model, empty)
     assert reduced.variables == model.variables
     assert reduced.constraints == model.constraints
