@@ -112,7 +112,7 @@ def _cmd_heur(args) -> int:
     config = _checked(HeuristicConfig, alpha=args.alpha, iterations=args.iters,
                       seed=args.seed)
     instance = _load_instance(args.instance)
-    result = run_heuristic(instance, config)
+    result = _checked(run_heuristic, instance, config)
     if args.output:
         Path(args.output).write_text(write_solution_csv(instance, result.best))
     if args.log:
@@ -220,7 +220,7 @@ def _cmd_export(args) -> int:
         print(f"status,{result.status}")
     Path(args.output).write_text(fm.export_lp(model))
     if args.mip_start:
-        heur = run_heuristic(instance, HeuristicConfig(seed=args.seed))
+        heur = _checked(run_heuristic, instance, HeuristicConfig(seed=args.seed))
         point = fm.std_point_from_solution(instance, heur.best.x, heur.best.y,
                                            heur.best.s)
         columns = set(model.var_ids)  # y only, unless STD
@@ -240,7 +240,7 @@ def _cmd_oracle(args) -> int:
 
 def _bench_one(path: Path, config: HeuristicConfig, max_bits: int) -> RunReport:
     instance = _load_instance(str(path))
-    result = run_heuristic(instance, config)
+    result = _checked(run_heuristic, instance, config)
     gap_b = None
     if instance.num_facilities * instance.num_periods <= max_bits:
         optimum, _sol, _routes = solve_exact(instance, OracleConfig(max_setup_bits=max_bits))

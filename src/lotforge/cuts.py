@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .formulations import SENSES, MipModel, VarId, VarValueMap, _retailer_paths, objective_value
+from .formulations import SENSES, MipModel, VarId, VarValueMap, objective_value
 from .instance import Instance, cumulative_demand, facility_keys
 
 DEFAULT_VIOLATION_TOL = 10.0
@@ -113,18 +113,18 @@ def _std_chains(instance: Instance, cum) -> tuple[list[VarId], np.ndarray]:
     b, idx = (np.repeat(a, T).tolist() for a in (instance.level, instance.ordinal))
     k = list(range(T)) * instance.num_facilities
     return ([*map(VarId, itertools.repeat("x"), b, idx, k),
-             *map(VarId, itertools.repeat("y"), b, idx, k)], cum.table)
+             *map(VarId, itertools.repeat("y"), b, idx, k)], cum)
 
 
 def _lf3_chains(instance: Instance, cum) -> tuple[list[VarId], np.ndarray]:
     """As _std_chains; chain 3r + b is retailer r's level-b flow with the
     setup of its level-b predecessor on its path (plant, warehouse, r)."""
-    T, path = instance.num_periods, _retailer_paths(instance).ravel()
+    T, path = instance.num_periods, instance.path.ravel()
     c = np.repeat(np.arange(len(path)), T)
     b, k = (c % 3).tolist(), list(range(T)) * len(path)
     return ([*map(VarId, itertools.repeat("x3"), b, (c // 3).tolist(), k),
              *map(VarId, itertools.repeat("y"), b, instance.ordinal[path][c].tolist(), k)],
-            cum.table[np.repeat(path[2::3], 3)])
+            cum[np.repeat(path[2::3], 3)])
 
 
 class _Slots:

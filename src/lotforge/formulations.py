@@ -173,13 +173,10 @@ class MipModel:
             var_ids=ids)
 
     @classmethod
-    def from_arrays(cls, var_ids=None, **fields) -> MipModel:
-        """A model from every field of the table; var_ids, when given, are
-        its columns' VarIds."""
+    def from_arrays(cls, **fields) -> MipModel:
+        """A model from every field of the table."""
         model = cls.__new__(cls)
         model.__dict__.update((name, fields[name]) for name in _FIELDS)
-        if var_ids is not None:
-            model.var_ids = var_ids
         return model
 
     def replace(self, **changes) -> MipModel:
@@ -273,15 +270,9 @@ def _y_block(instance: Instance):
             instance.setup_cost.ravel())
 
 
-def _retailer_paths(instance: Instance) -> np.ndarray:
-    """(R, 3) facilities on each retailer's path: plant, warehouse, itself."""
-    rfac = 1 + instance.num_warehouses + np.arange(instance.num_retailers)
-    return np.stack([np.zeros_like(rfac), instance.parent[rfac], rfac], axis=1)
-
-
 def build_std(instance: Instance) -> MipModel:
     T, F = instance.num_periods, instance.num_facilities
-    tail = cumulative_demand(instance).table[:, :, -1].ravel()
+    tail = cumulative_demand(instance)[:, :, -1].ravel()
     fac, t = np.divmod(np.arange(F * T), T)
     q = np.arange(F * T)  # slot (fac, t): columns x 2q and s 2q + 1, then y 2FT + q
     x, s, y = 2 * q, 2 * q + 1, 2 * F * T + q
@@ -313,7 +304,7 @@ _MC_ROWS = tuple(f"mc{row}{b}" for row in ("bal", "setup") for b in range(3))
 
 def build_mc(instance: Instance) -> MipModel:
     T, R, F = instance.num_periods, instance.num_retailers, instance.num_facilities
-    paths = _retailer_paths(instance)
+    paths = instance.path
     tt, kk = np.nonzero(np.tri(T, dtype=bool))  # (t, k <= t), t-major
     r, t, k = np.repeat(np.arange(R), len(tt)), np.tile(tt, R), np.tile(kk, R)
     d = instance.demand[r, t].astype(float)
@@ -349,9 +340,9 @@ def build_mc(instance: Instance) -> MipModel:
 
 def build_3lf(instance: Instance) -> MipModel:
     T, R, F = instance.num_periods, instance.num_retailers, instance.num_facilities
-    paths = _retailer_paths(instance)
+    paths = instance.path
     r, b, t = (a.ravel() for a in np.indices((R, 3, T)))
-    tail = cumulative_demand(instance).table[paths[r, 2], t, -1]
+    tail = cumulative_demand(instance)[paths[r, 2], t, -1]
     q = np.arange(3 * R * T)  # slot (r, b, t): columns x3 2q and s3 2q + 1, then y
     x, s = 2 * q, 2 * q + 1
     flows = (np.tile([_X3, _S3], 3 * R * T), np.repeat(b, 2), np.repeat(r, 2), np.repeat(t, 2),
@@ -373,31 +364,32 @@ def build_3lf(instance: Instance) -> MipModel:
 VarValueMap = dict[VarId, float]
 
 
+def _std_vars(instance: Instance, families: tuple[str, ...]):
+    """The families' standard-space VarIds facility by facility, then
+    period by period, the families interleaved."""
+    n, T = len(families), instance.num_periods
+    fac, t = np.divmod(np.repeat(np.arange(instance.num_facilities * T), n), T)
+    return map(VarId, families * (len(fac) // n), instance.level[fac].tolist(),
+               instance.ordinal[fac].tolist(), t.tolist())
+
+
 def map_3lf_to_std(instance: Instance, point: VarValueMap) -> VarValueMap:
     """Aggregate a 3LF-space point into STD space.
 
     Per-facility x and s are the sums of the per-retailer disaggregated
-    values over the facility's retailer descendants; y passes through.
-    The objective value is preserved.
+    values over the facility's retailer descendants, added in ascending
+    retailer order; y passes through. The objective value is preserved.
+    A missing x3 or s3 value raises KeyError with its VarId.
     """
-    out: VarValueMap = {}
-    for var, val in point.items():
-        if var.family == "y":
-            out[var] = val
-    served: list[list[int]] = [[] for _ in range(instance.num_facilities)]
-    for r, path in enumerate(_retailer_paths(instance).tolist()):
-        for a in path:
-            served[a].append(r)
-    for fac, (b, idx) in enumerate(facility_keys(instance)):
-        for k in range(instance.num_periods):
-            for fam_out, fam_in in (("x", "x3"), ("s", "s3")):
-                total = 0.0
-                for r in served[fac]:
-                    key = VarId(fam_in, b, r, k)
-                    if key not in point:
-                        raise KeyError(f"missing value for {key.name()}")
-                    total += point[key]
-                out[VarId(fam_out, b, idx, k)] = total
+    R, T = instance.num_retailers, instance.num_periods
+    r, b, k = (a.ravel().tolist() for a in np.indices((R, 3, T)))
+    flows = np.zeros((instance.num_facilities, T, 2))  # x and s of every facility
+    for f, family in enumerate(("x3", "s3")):
+        values = list(map(point.__getitem__, map(VarId, repeat(family), b, r, k)))
+        # add.at adds the path rows one at a time, retailers ascending.
+        np.add.at(flows[:, :, f], instance.path, np.reshape(values, (R, 3, T)))
+    out = {var: val for var, val in point.items() if var.family == "y"}
+    out.update(zip(_std_vars(instance, ("x", "s")), flows.ravel().tolist()))
     return out
 
 
@@ -813,10 +805,5 @@ def export_mip_start(solution_vars: VarValueMap) -> str:
 def std_point_from_solution(instance: Instance, x: np.ndarray, y: np.ndarray,
                             s: np.ndarray) -> VarValueMap:
     """Flatten (F, T) solution matrices into an STD-space value map."""
-    point: VarValueMap = {}
-    for fac, (b, idx) in enumerate(facility_keys(instance)):
-        for t in range(instance.num_periods):
-            point[VarId("x", b, idx, t)] = float(x[fac, t])
-            point[VarId("y", b, idx, t)] = float(y[fac, t])
-            point[VarId("s", b, idx, t)] = float(s[fac, t])
-    return point
+    return dict(zip(_std_vars(instance, ("x", "y", "s")),
+                    np.stack([x, y, s], axis=-1, dtype=float).ravel().tolist()))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .instance import Instance, validate
 from .lotsizing_dp import solve_uls
-from .solution import Solution, evaluate_cost  # noqa: F401  (perfbench's tracer wraps it)
+from .solution import Solution, evaluate_cost
 
 DEFAULT_ALPHA = 0.20
 DEFAULT_ITERATIONS = 500
@@ -95,17 +95,19 @@ def _chunk(instance: Instance, alpha: float, seed: int, first: int,
     # Stocks follow from flow balance; the DPs never ship early, so all
     # stocks come out nonnegative.
     s = np.subtract(x, out, out=out).cumsum(axis=2, out=out)
-    # Each iteration's cost is evaluate_cost's pairwise sum, over one (F*T,)
-    # row; the products overwrite rand_sc, which the DPs are done with.
-    cost = (np.multiply(instance.setup_cost, y, out=rand_sc).reshape(count, -1).sum(axis=1)
-            + np.multiply(instance.holding_cost, s, out=rand_sc).reshape(count, -1).sum(axis=1))
-    return [Solution(x=x[c], y=y[c], s=s[c], cost=float(cost[c])) for c in range(count)]
+    sols = [Solution(x=x[c], y=y[c], s=s[c], cost=0.0) for c in range(count)]
+    for sol in sols:
+        sol.cost = evaluate_cost(instance, sol)
+    return sols
 
 
 def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
     problems = validate(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(instance.setup_cost[1:] * (1.0 + config.alpha)).all():
+            raise ValueError(f"alpha {config.alpha!r} inflates a setup cost past the float range")
 
     start = time.perf_counter()
     n = config.iterations

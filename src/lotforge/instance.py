@@ -5,9 +5,10 @@ A network consists of a single plant (level 0), a set of warehouses
 exactly one warehouse. This tree is fixed when the instance is built,
 and Instance owns it: every facility has a flat index (0 = plant,
 1..W = warehouses, 1+W.. = retailers), and the read-only arrays level,
-ordinal (index within its level) and parent (-1 for the plant) describe
-it. Code addresses facilities by flat index only; (level, ordinal)
-appears only in names (facility_keys, facility_label). Periods are 0-based
+ordinal (index within its level), parent (-1 for the plant) and path
+(each retailer's plant, warehouse and itself) describe it. Code
+addresses facilities by flat index only; (level, ordinal) appears only
+in names (facility_keys, facility_label). Periods are 0-based
 internally and 1-based in file formats and variable names.
 """
 
@@ -79,9 +80,10 @@ class Instance:
 
     demand has shape (R, T); setup_cost and holding_cost have shape
     (1 + W + R, T) in facility order plant, warehouses, retailers.
-    level, ordinal and parent have shape (F,) and are derived from the
-    sizes and retailer_warehouse, as are the per-warehouse retailer lists
-    behind retailers_of.
+    level, ordinal and parent have shape (F,), and path has shape (R, 3):
+    row r is the flat index of the plant, r's warehouse and r. They are
+    derived from the sizes and retailer_warehouse, as are the
+    per-warehouse retailer lists behind retailers_of.
     """
 
     num_periods: int
@@ -94,6 +96,7 @@ class Instance:
     level: np.ndarray = field(init=False, repr=False, compare=False)
     ordinal: np.ndarray = field(init=False, repr=False, compare=False)
     parent: np.ndarray = field(init=False, repr=False, compare=False)
+    path: np.ndarray = field(init=False, repr=False, compare=False)
     _retailers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,10 +113,12 @@ class Instance:
                            np.concatenate(([0], np.arange(W), np.arange(R))))
         object.__setattr__(self, "parent", np.concatenate(
             ([-1], np.zeros(W, dtype=np.int64), 1 + rw)))
+        object.__setattr__(self, "path", np.stack(
+            [np.zeros_like(rw), 1 + rw, 1 + W + np.arange(len(rw))], axis=1))
         object.__setattr__(self, "_retailers",
                            tuple(np.flatnonzero(rw == w).tolist() for w in range(W)))
         for arr in (self.retailer_warehouse, self.demand, self.setup_cost,
-                    self.holding_cost, self.level, self.ordinal, self.parent):
+                    self.holding_cost, self.level, self.ordinal, self.parent, self.path):
             arr.setflags(write=False)
 
     # -- flat facility indexing -------------------------------------------
@@ -149,31 +154,17 @@ def facility_keys(instance: Instance) -> list[tuple[int, int]]:
     return list(zip(instance.level.tolist(), instance.ordinal.tolist()))
 
 
-@dataclass(frozen=True)
-class CumulativeDemand:
-    """Triangular cumulative demands d[i, k, t] = demand of facility i
-    over periods k..t (0-based, k <= t); zero above the diagonal."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.table.setflags(write=False)
-
-    def value(self, fac: int, k: int, t: int) -> float:
-        return float(self.table[fac, k, t])
-
-    def tail(self, fac: int, t: int) -> float:
-        """Cumulative demand from period t to the end of the horizon."""
-        return float(self.table[fac, t, -1])
-
-
-def cumulative_demand(instance: Instance) -> CumulativeDemand:
+def cumulative_demand(instance: Instance) -> np.ndarray:
+    """Read-only (F, T, T) cumulative demands: [i, k, t] is the demand of
+    facility i over periods k..t (0-based, k <= t), zero above the
+    diagonal; [i, t, -1] runs from period t to the horizon end."""
     per_period = instance.facility_demand()
     F, T = per_period.shape
     table = np.zeros((F, T, T))
     for k in range(T):
         table[:, k, k:] = np.cumsum(per_period[:, k:], axis=1)
-    return CumulativeDemand(table)
+    table.setflags(write=False)
+    return table
 
 
 def validate(instance: Instance) -> list[str]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .formulations import SENSES, LpParseError, parse_lp
+from .formulations import SENSES, LpParseError, export_mip_start, parse_lp
 
 
 def constraint_matrix(model):
@@ -78,9 +78,7 @@ def main(argv=None) -> int:
     obj, values = result
     try:
         with open(args.out_file, "w") as fh:
-            fh.write(f"objective {obj!r}\n")
-            for var, val in values.items():
-                fh.write(f"{var.name()} {val!r}\n")
+            fh.write(f"objective {obj!r}\n" + export_mip_start(values))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,11 +50,11 @@ class RemovalSet:
 
 
 def compute_removals(instance: Instance) -> RemovalSet:
-    T, rfac = instance.num_periods, instance.retailer(np.arange(instance.num_retailers))
+    T, (_, wfac, rfac) = instance.num_periods, instance.path.T
     # hr[r, k, t] and hw[r, k, t]: the holding cost from period k up to t at
     # retailer r and at its warehouse, as differences of cumulative costs.
     cum = (np.cumsum(np.pad(instance.holding_cost[fac], ((0, 0), (1, 0))), axis=1)[:, :T]
-           for fac in (rfac, instance.parent[rfac]))
+           for fac in (rfac, wfac))
     hr, hw = (c[:, None, :] - c[:, :, None] for c in cum)
     d = instance.demand[:, None, :].astype(float)
     # Removed from the smallest due period t > k where retailer-side storage

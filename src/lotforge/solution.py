@@ -64,7 +64,7 @@ def check_feasible(instance: Instance, solution: Solution,
     prev = np.zeros((F, T))
     prev[:, 1:] = s[:, :-1]
     faults = np.stack([np.abs(prev + x - out - s) > tol,
-                       x > cum.table[:, :, -1] * y + tol,
+                       x > cum[:, :, -1] * y + tol,
                        (x > tol) & (y < 1.0 - tol)], axis=2)
     what = ("balance violated", "setup violated", "open shipment without setup")
     for i, t, c in zip(*np.nonzero(faults)):
@@ -81,6 +81,7 @@ def from_routes(instance: Instance, routes: RouteAssignment) -> Solution:
     F, T = instance.num_facilities, instance.num_periods
     x = np.zeros((F, T))
     s = np.zeros((F, T))
+    path = instance.path.tolist()
     for r in range(instance.num_retailers):
         for t in range(T):
             qty = float(instance.demand[r, t])
@@ -94,9 +95,7 @@ def from_routes(instance: Instance, routes: RouteAssignment) -> Solution:
                                  f"retailer {r}, period {t + 1}")
             # Each facility on the retailer's path holds the demand from
             # its inbound period until the next level's.
-            ret = instance.retailer(r)
-            for fac, k, k_next in zip((0, instance.parent[ret], ret),
-                                      (k0, k1, k2), (k1, k2, t)):
+            for fac, k, k_next in zip(path[r], (k0, k1, k2), (k1, k2, t)):
                 x[fac, k] += qty
                 s[fac, k:k_next] += qty
     y = (x > 0).astype(float)

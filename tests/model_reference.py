@@ -62,7 +62,7 @@ def build_std(instance: Instance) -> MipModel:
 
     for fac, (b, idx) in enumerate(keys):
         for k in range(T):
-            decls.append(VarDecl(VarId("x", b, idx, k), 0.0, cum.tail(fac, k), False))
+            decls.append(VarDecl(VarId("x", b, idx, k), 0.0, cum[fac, k, -1], False))
             decls.append(VarDecl(VarId("s", b, idx, k), 0.0, INF, False))
     decls.extend(_y_vars(instance))
 
@@ -91,7 +91,7 @@ def build_std(instance: Instance) -> MipModel:
             cons.append(Constraint(f"bal_{lbl}_t{t + 1}", coefs, "=", rhs))
         for t in range(T):
             coefs = {VarId("x", b, idx, t): 1.0,
-                     VarId("y", b, idx, t): -cum.tail(fac, t)}
+                     VarId("y", b, idx, t): -cum[fac, t, -1]}
             cons.append(Constraint(f"setup_{lbl}_t{t + 1}", coefs, "<=", 0.0))
 
     model = MipModel("STD", decls, obj, cons)
@@ -170,7 +170,7 @@ def build_3lf(instance: Instance) -> MipModel:
     for r, fac, _, _ in _paths(instance):
         for b in range(3):
             for t in range(T):
-                decls.append(VarDecl(VarId("x3", b, r, t), 0.0, cum.tail(fac, t), False))
+                decls.append(VarDecl(VarId("x3", b, r, t), 0.0, cum[fac, t, -1], False))
                 decls.append(VarDecl(VarId("s3", b, r, t), 0.0, INF, False))
     decls.extend(_y_vars(instance))
     obj = _setup_objective(instance)
@@ -192,7 +192,7 @@ def build_3lf(instance: Instance) -> MipModel:
                     rhs = float(instance.demand[r, t])
                 cons.append(Constraint(f"bal3_{b}_r{r}_t{t + 1}", coefs, "=", rhs))
                 setup = {VarId("x3", b, r, t): 1.0,
-                         VarId("y", b, ords[b], t): -cum.tail(fac, t)}
+                         VarId("y", b, ords[b], t): -cum[fac, t, -1]}
                 cons.append(Constraint(f"setup3_{b}_r{r}_t{t + 1}", setup, "<=", 0.0))
 
     model = MipModel("3LF", decls, obj, cons)
@@ -257,7 +257,7 @@ class _Chain(NamedTuple):
 def _std_chain(instance: Instance, cum, fac: int) -> _Chain:
     """Facility fac's own x and y in the standard space."""
     b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
-    return _Chain(_Row("x", b, idx), _Row("y", b, idx), cum.table[fac])
+    return _Chain(_Row("x", b, idx), _Row("y", b, idx), cum[fac])
 
 
 def _lf3_chain(instance: Instance, cum, r: int, b: int) -> _Chain:
@@ -266,7 +266,7 @@ def _lf3_chain(instance: Instance, cum, r: int, b: int) -> _Chain:
     fac = instance.retailer(r)
     pred = (0, instance.parent[fac], fac)[b]
     return _Chain(_Row("x3", b, r), _Row("y", b, int(instance.ordinal[pred])),
-                  cum.table[fac])
+                  cum[fac])
 
 
 def _bounds(split: tuple, l: int) -> tuple:

@@ -234,7 +234,7 @@ def _frac_std(ins, rng):
         b, idx = int(ins.level[fac]), int(ins.ordinal[fac])
         for k in range(ins.num_periods):
             point[fm.VarId("y", b, idx, k)] = float(rng.random())
-            point[fm.VarId("x", b, idx, k)] = float(rng.random() * cum.tail(fac, k))
+            point[fm.VarId("x", b, idx, k)] = float(rng.random() * cum[fac, k, -1])
     return point
 
 
@@ -250,7 +250,7 @@ def _frac_3lf(ins, rng):
         for b in range(3):
             for k in range(ins.num_periods):
                 point[fm.VarId("x3", b, r, k)] = float(
-                    rng.random() * cum.tail(rfac, k))
+                    rng.random() * cum[rfac, k, -1])
     return point
 
 

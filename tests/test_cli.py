@@ -443,3 +443,23 @@ def test_bench_zero_demand_instance(tmp_path):
     rc = cli.main(["bench", str(tmp_path), "--iters", "3", "-o", str(out)])
     assert rc == 0
     assert out.read_text().splitlines()[1] == "zero.inst,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (True, ["heur", "{inst}"]),
+    (True, ["export", "{inst}", "-o", "{out}", "--mip-start", "{mst}"]),
+    (True, ["bench", "{dir}"]),
+    (False, ["heur", "{inst}", "--alpha", "1e308"]),
+], ids=["huge-setup-heur", "huge-setup-mip-start", "huge-setup-bench", "huge-alpha"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr gets the usage error only
+def test_inflated_setup_overflow_is_a_usage_error(tmp_path, capsys, edit, argv):
+    inst = gen_file(tmp_path, "g.inst", retailers=4, warehouses=2, periods=3)
+    if edit:
+        _edit_instance(inst, "SETUP", 1, "1.7e308 1.7e308 1.7e308")
+        read_instance(inst.read_text())  # still a valid instance
+    paths = {"inst": inst, "out": tmp_path / "m.lp", "mst": tmp_path / "m.mst",
+             "dir": tmp_path}
+    assert cli.main([a.format(**paths) for a in argv]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "alpha" in err
+    assert err.count("\n") == 1

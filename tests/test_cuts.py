@@ -44,7 +44,7 @@ def fractional_point_std(instance, rng):
         b, idx = int(instance.level[fac]), int(instance.ordinal[fac])
         for k in range(instance.num_periods):
             point[VarId("y", b, idx, k)] = float(rng.random())
-            point[VarId("x", b, idx, k)] = float(rng.random() * cum.tail(fac, k))
+            point[VarId("x", b, idx, k)] = float(rng.random() * cum[fac, k, -1])
             point[VarId("s", b, idx, k)] = float(rng.random() * 10)
     return point
 
@@ -60,7 +60,7 @@ def fractional_point_3lf(instance, rng):
         rfac = instance.retailer(r)
         for b in range(3):
             for k in range(instance.num_periods):
-                point[VarId("x3", b, r, k)] = float(rng.random() * cum.tail(rfac, k))
+                point[VarId("x3", b, r, k)] = float(rng.random() * cum[rfac, k, -1])
                 point[VarId("s3", b, r, k)] = float(rng.random() * 10)
     return point
 
@@ -117,7 +117,7 @@ def test_all_zero_point_slack_is_minus_rhs():
     for l in range(4):
         full = (1 << (l + 1)) - 1
         cut, = cm.make_cuts(ins, "SL_STD", [(0, 0, l, full)])
-        assert cm.eval_inequality(cut, point) == -cum.table[0, 0, l]
+        assert cm.eval_inequality(cut, point) == -cum[0, 0, l]
 
 
 def test_two_period_hand_computation():
@@ -170,7 +170,7 @@ def test_closed_network_two_level_violation():
     rhs_values = {cut.params[:2] + (cut.params[3],): cut.rhs for cut in cuts}
     for (b, idx, l), rhs in rhs_values.items():
         fac = 0 if b == 0 else (1 + idx if b == 1 else 1 + 1 + idx)
-        assert rhs == cum.table[fac, 0, l]
+        assert rhs == cum[fac, 0, l]
 
 
 def test_separator_soundness_fractional_points():
@@ -337,7 +337,7 @@ def test_tie_goes_to_setup_term():
     point = zeros_point(ins)
     # Engineer an exact tie at (plant, period 0): x == d * y.
     point[VarId("y", 0, 0, 0)] = 0.5
-    point[VarId("x", 0, 0, 0)] = 0.5 * cum.table[0, 0, 3]
+    point[VarId("x", 0, 0, 0)] = 0.5 * cum[0, 0, 3]
     slots = cm._Slots(cm._std_chains(ins, cum), point)
     _, mask = slots.segment(3, 0, 0, 3)
     assert mask & 1  # period 0 lands in S despite the tie
@@ -363,7 +363,7 @@ def test_masks_above_bit_62():
         b, idx, l, mask = cut.params
         # One facility per level, so its flat index is its level b.
         assert mask == sum(1 << k for k in range(l + 1)
-                           if cum.table[b, k, l] * 0.1 <= point[VarId("x", b, idx, k)])
+                           if cum[b, k, l] * 0.1 <= point[VarId("x", b, idx, k)])
         assert cm.eval_inequality(cut, point) < -10.0
 
 

@@ -16,7 +16,7 @@ from conftest import (TEXT_EDITS, apply_edits, convex_combination,
 from lotforge import formulations as fm
 from lotforge import heuristic, preprocess
 from lotforge.instance import (Instance, InstanceSpec, NetworkShape,
-                               cumulative_demand, generate)
+                               cumulative_demand, facility_keys, generate)
 from lotforge.oracle import OracleConfig, solve_exact
 from lotforge.solution import from_routes, write_solution_csv
 
@@ -93,7 +93,7 @@ def test_std_counts_and_bounds():
     for decl in fams["x"]:
         fac = 0 if decl.var.b == 0 else (1 + decl.var.idx if decl.var.b == 1
                                          else 1 + 1 + decl.var.idx)
-        assert decl.ub == cum.tail(fac, decl.var.k)
+        assert decl.ub == cum[fac, decl.var.k, -1]
     names = [c.name for c in model.constraints]
     assert sum(n.startswith("bal_") for n in names) == 6
     assert sum(n.startswith("setup_") for n in names) == 6
@@ -208,6 +208,38 @@ def test_map_3lf_to_std_sums_retailers():
         total = sum(point[fm.VarId("x3", 1, r, k)] for r in range(ins.num_retailers))
         assert mapped[fm.VarId("x", 1, 0, k)] == pytest.approx(total)
         assert mapped[fm.VarId("y", 1, 0, k)] == point[fm.VarId("y", 1, 0, k)]
+
+
+@given(R=st.integers(1, 12), W=st.integers(1, 4), T=st.integers(1, 6),
+       shape=st.sampled_from(list(NetworkShape)), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_point_maps_match_per_facility_loops(R, W, T, shape, seed):
+    # The loops the array versions replaced: the same items, in the same
+    # order, bit for bit.
+    ins = generate(InstanceSpec(R, min(W, R), T, network_shape=shape, seed=seed))
+    rng = np.random.default_rng(seed)
+    ids = fm.build_3lf(ins).var_ids
+    point = {ids[j]: float(rng.random() * 100) for j in rng.permutation(len(ids))}
+    keys = facility_keys(ins)
+    expected = {var: val for var, val in point.items() if var.family == "y"}
+    for fac, (b, idx) in enumerate(keys):
+        served = [r for r in range(ins.num_retailers) if fac in ins.path[r].tolist()]
+        for k in range(T):
+            for out, fam in (("x", "x3"), ("s", "s3")):
+                total = 0.0
+                for r in served:
+                    total += point[fm.VarId(fam, b, r, k)]
+                expected[fm.VarId(out, b, idx, k)] = total
+    hexed = lambda items: [(var, float(val).hex()) for var, val in items]
+    assert hexed(fm.map_3lf_to_std(ins, point).items()) == hexed(expected.items())
+
+    x, y, s = rng.random((3, ins.num_facilities, T))
+    expected = {}
+    for fac, (b, idx) in enumerate(keys):
+        for t in range(T):
+            for fam, arr in (("x", x), ("y", y), ("s", s)):
+                expected[fm.VarId(fam, b, idx, t)] = float(arr[fac, t])
+    assert hexed(fm.std_point_from_solution(ins, x, y, s).items()) == hexed(expected.items())
 
 
 def test_map_3lf_missing_variable():

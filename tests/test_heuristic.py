@@ -215,6 +215,24 @@ def test_invalid_instance_rejected():
         run(bad, HeuristicConfig(iterations=1))
 
 
+@pytest.mark.parametrize("setup, alpha", [(1.7e308, 0.2), (None, 1e308)])
+def test_setup_cost_overflow_rejected_before_any_iteration(monkeypatch, setup, alpha):
+    import dataclasses
+    ins = generate(InstanceSpec(4, 2, 3, seed=0))
+    if setup is not None:
+        sc = ins.setup_cost.copy()
+        sc[1] = setup
+        ins = dataclasses.replace(ins, setup_cost=sc)
+    monkeypatch.setattr(heuristic, "_chunk", lambda *a: pytest.fail("iteration ran"))
+    with pytest.raises(ValueError, match="alpha"):
+        run(ins, HeuristicConfig(alpha=alpha, iterations=3))
+    # A huge alpha whose inflated costs stay finite still runs.
+    sc = np.full_like(ins.setup_cost, 1e290)
+    edge = dataclasses.replace(ins, setup_cost=sc)
+    monkeypatch.undo()
+    assert np.isfinite(run(edge, HeuristicConfig(alpha=1e7, iterations=2)).best_cost)
+
+
 def test_per_iteration_costs_golden():
     # Captured from the per-facility DP implementation; any drift in the
     # batched DP, the stock assembly or the random stream shows up here.

@@ -70,6 +70,8 @@ def test_network_arrays_match_naive_scan(R, W, T, shape, seed):
         assert ins.retailers_of(w) == [r for r in range(R) if rw[r] == w]
     for arr in (ins.level, ins.ordinal, ins.parent):
         assert arr.shape == (1 + W + R,) and not arr.flags.writeable
+    assert ins.path.tolist() == [[0, 1 + rw[r], 1 + W + r] for r in range(R)]
+    assert not ins.path.flags.writeable
     # Sequential sums in ascending retailer order, bit for bit.
     expected = np.zeros((1 + W + R, T))
     for t in range(T):
@@ -88,16 +90,17 @@ def test_network_arrays_match_naive_scan(R, W, T, shape, seed):
 def test_cumulative_demand_table():
     ins = generate(spec(3, 1, 4, seed=5))
     cum = cumulative_demand(ins)
+    assert not cum.flags.writeable
     fdem = ins.facility_demand()
     for fac in range(ins.num_facilities):
         for k in range(4):
             for t in range(4):
                 if k > t:
-                    assert cum.table[fac, k, t] == 0.0
+                    assert cum[fac, k, t] == 0.0
                 else:
-                    assert cum.value(fac, k, t) == pytest.approx(
+                    assert cum[fac, k, t] == pytest.approx(
                         fdem[fac, k:t + 1].sum())
-            assert cum.tail(fac, k) == pytest.approx(fdem[fac, k:].sum())
+            assert cum[fac, k, -1] == pytest.approx(fdem[fac, k:].sum())
 
 
 def test_facility_demand_aggregation():
