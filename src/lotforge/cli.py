@@ -201,6 +201,9 @@ def _cmd_export(args) -> int:
     instance = _load_instance(args.instance)
     builders = {"std": fm.build_std, "mc": fm.build_mc, "3lf": fm.build_3lf}
     model = builders[args.formulation](instance)
+    heur = None
+    if args.mip_start:  # first: it can end in a usage error, which writes nothing
+        heur = _checked(run_heuristic, instance, HeuristicConfig(seed=args.seed))
     if args.cuts:
         if args.formulation == "mc":
             raise _UsageError("--cuts applies to std and 3lf formulations")
@@ -219,8 +222,7 @@ def _cmd_export(args) -> int:
         print(f"rounds,{result.rounds}")
         print(f"status,{result.status}")
     Path(args.output).write_text(fm.export_lp(model))
-    if args.mip_start:
-        heur = _checked(run_heuristic, instance, HeuristicConfig(seed=args.seed))
+    if heur is not None:
         point = fm.std_point_from_solution(instance, heur.best.x, heur.best.y,
                                            heur.best.s)
         columns = set(model.var_ids)  # y only, unless STD

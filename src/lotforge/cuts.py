@@ -24,13 +24,19 @@ which puts the slot in S), which yields the most violated member. One
 kernel computes these minima for every chain and l at once and takes
 prefix sums along the periods, so every family sums segment totals over
 all its split points in a few array operations (Barany, Van Roy and
-Wolsey's separation, extended along the levels). A separation returns
-its cuts as one row block, which add_cuts_to_model maps to a model's
-columns once; Cut.coefs is a read-only view.
+Wolsey's separation, extended along the levels).
+
+A separation, like a make_cuts call, builds one CutBlock: the family's
+chain slot list and, per cut, its member (unit index, l, split points
+and the S bits of its tier chains, packed so that any T fits), its rhs
+and its terms as CSR arrays over the slot list. A Cut is a view of one
+block row whose params are decoded on access; Cut.coefs is a read-only
+dict built on access. add_cuts_to_model appends each run of one block's
+cuts as one array slice.
 
 The driver never solves LPs itself: it pulls relaxation points from an
-injected callback and accumulates all violated cuts, deduplicated by
-(family, parameters).
+injected callback and pools the blocks of all violated cuts, dropping a
+row whose member its family's pool already holds.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -68,17 +75,27 @@ class CutConfig:
 
 class Cut:
     """The inequality sum_i vals[i] * slot_vars[slots[i]] >= rhs of a family
-    member, keyed by (family, params). Cut(family, params, coefs, rhs) takes
-    a dict; a separation passes terms=(slot_vars, slots, vals) instead, and
-    its cuts share the slot list and view two shared term arrays."""
+    member, keyed by (family, params): a view of row `row` of a CutBlock,
+    read on access. Cut(family, params, coefs, rhs) makes a cut from a dict,
+    as a block of one row whose unit key is params and has no tiers."""
 
-    __slots__ = ("family", "params", "rhs", "slot_vars", "slots", "vals")
+    __slots__ = ("block", "row")
     sense = ">="
 
-    def __init__(self, family: str, params: tuple, coefs, rhs: float, terms=None):
-        self.family, self.params, self.rhs = family, params, rhs
-        self.slot_vars, self.slots, self.vals = terms or (
-            list(coefs), np.arange(len(coefs)), np.array(list(coefs.values()), dtype=float))
+    def __init__(self, family: str, params: tuple, coefs: Mapping[VarId, float], rhs: float):
+        n = len(coefs)
+        self.block = CutBlock(family, list(coefs), np.array([rhs], dtype=float), np.array([0, n]),
+                              np.arange(n), np.array(list(coefs.values()), dtype=float),
+                              [(params, ())], np.zeros((1, 1), np.intp),
+                              np.empty((1, 0, 1), np.uint8))
+        self.row = 0
+
+    family = property(lambda self: self.block.family)
+    params = property(lambda self: self.block.params(self.row))
+    rhs = property(lambda self: float(self.block.rhs[self.row]))
+    slot_vars = property(lambda self: self.block.slot_vars)
+    slots = property(lambda self: self.block.slots[slice(*self.block.ptr[self.row:self.row + 2])])
+    vals = property(lambda self: self.block.vals[slice(*self.block.ptr[self.row:self.row + 2])])
 
     @property
     def coefs(self) -> Mapping[VarId, float]:
@@ -90,11 +107,56 @@ class Cut:
         return (self.family, self.params)
 
 
+@dataclass(eq=False)
+class CutBlock:
+    """Cuts of one family over one chain slot list. Cut i is
+    sum(vals[p:q] * slot_vars[slots[p:q]]) >= rhs[i] with p, q = ptr[i],
+    ptr[i + 1]. Its member is member[i] = (unit index, l, *split points)
+    of the family's units; masks[i, j] holds the S bits of the unit's tier
+    chain j, packed little-endian over the periods so that any T fits, and
+    is zero past the unit's chains."""
+
+    family: str
+    slot_vars: list[VarId]
+    rhs: np.ndarray
+    ptr: np.ndarray
+    slots: np.ndarray
+    vals: np.ndarray
+    units: list
+    member: np.ndarray
+    masks: np.ndarray
+
+    def params(self, i: int) -> tuple:
+        """Cut i's params: unit key + (l, *split) + one mask per tier."""
+        unit, *lsplit = self.member[i].tolist()
+        key, tiers = self.units[unit]
+        ints = map(int.from_bytes, self.masks[i], itertools.repeat("little"))
+        return key + tuple(lsplit) + tuple(
+            tuple(itertools.islice(ints, len(tier))) if isinstance(tier, list) else next(ints)
+            for tier in tiers)
+
+    def keys(self) -> list[bytes]:
+        """One key per cut, equal exactly where the params are: the bytes of
+        its member row and masks."""
+        n, widest, nb = self.masks.shape
+        table = np.hstack([self.member.astype(np.int64).view(np.uint8),
+                           self.masks.reshape(n, widest * nb)])
+        return table.view(f"V{table.shape[1]}").ravel().tolist()
+
+    def cuts(self) -> list[Cut]:
+        """Views of the rows, in order."""
+        views = list(map(object.__new__, itertools.repeat(Cut, len(self.rhs))))
+        for row, cut in enumerate(views):
+            cut.block, cut.row = self, row
+        return views
+
+
 def eval_inequality(cut: Cut, point: VarValueMap) -> float:
     """Signed slack lhs - rhs; >= 0 means the point satisfies the cut."""
     lhs = 0.0
+    slot_vars = cut.slot_vars
     for slot, coef in zip(cut.slots.tolist(), cut.vals.tolist()):
-        var = cut.slot_vars[slot]
+        var = slot_vars[slot]
         if var not in point:
             raise KeyError(f"point is missing variable {var.name()}")
         lhs += coef * point[var]
@@ -151,54 +213,58 @@ class _Slots:
     def segment(self, l: int, c: int, lo: int, hi: int) -> tuple[float, int]:
         """The kernel's (total, S mask) for periods lo..hi of chain c."""
         P, in_S = self.at(l)
-        span = (1 << hi + 1) - (1 << lo)
-        return float(P[c, hi + 1] - P[c, lo]), _row_masks(in_S[c:c + 1])[0] & span
+        packed = np.packbits(in_S[c, lo:hi + 1], bitorder="little").tobytes()
+        return float(P[c, hi + 1] - P[c, lo]), int.from_bytes(packed, "little") << lo
 
 
-def _row_masks(in_S: np.ndarray) -> list[int]:
-    """Each chain's S bits as an int, bit k = period k (T may exceed 63)."""
-    packed = np.packbits(in_S, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _layout(units: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The units' tier chains in member order, flat: unit u takes chains
+    chain[uptr[u]:uptr[u + 1]], and tier[j] is chain j's tier."""
+    pairs = [[(c, i) for i, group in enumerate(tiers)
+              for c in (group if isinstance(group, list) else [group])] for _, tiers in units]
+    chain, tier = np.array([*itertools.chain(*pairs)], dtype=np.intp).reshape(-1, 2).T
+    return chain, tier, np.r_[0, np.cumsum(list(map(len, pairs)), dtype=np.intp)]
 
 
-def _cuts(family: str, chains: tuple, members: list) -> list[Cut]:
-    """The cuts of members (key, l, split, tiers, masks) as one row block. A
-    tier is one chain with an int mask, or a list of chains with a tuple of
-    masks. No chain occurs twice in a member, so every variable gets one
-    term, tier by tier, chain by chain, period by period: d_{k,l} y_k for k
-    in S, else x_k. The rhs is the first tier chain's demand over 0..l."""
-    if not members:
-        return []
-    chain, masks, widths = [], [], []
-    for *_, tiers, member_masks in members:
-        for tier, mask in zip(tiers, member_masks):
-            tier, mask = (tier, mask) if isinstance(tier, list) else ([tier], [mask])
-            chain += tier
-            masks += mask
-            widths.append(len(tier))
-    # Tier i of member j covers periods bounds[j, i]..bounds[j, i + 1] - 1
-    # with one segment per chain, and a segment has one term per period.
+def _block(family: str, chains: tuple, units: list, member: np.ndarray,
+           bits: Callable) -> CutBlock:
+    """The cuts of the members (unit index, l, *split points) as one block.
+
+    A member's tier chains, tier by tier and chain by chain, are its
+    member chains; bits(l_j, c_j) gives the packed S bits of every member
+    chain j, chain c_j at horizon end l_j, and bits outside j's period
+    segment are ignored. No chain occurs twice in a member, so every
+    variable gets one term, chain by chain, period by period: d_{k,l} y_k
+    for k in S, else x_k. The rhs is the first tier chain's demand over
+    0..l."""
     slot_vars, D = chains
     C, T = D.shape[:2]
-    bounds = np.array([(-1, *split, l) for _, l, split, *_ in members]) + 1
-    ls, chain = bounds[:, -1] - 1, np.array(chain)
-    counts = np.reshape(widths, (len(members), -1)).sum(axis=1)  # segments per member
-    lo = np.repeat(bounds[:, :-1], widths)
-    length = np.repeat(bounds[:, 1:], widths) - lo
+    uchain, utier, uptr = _layout(units)
+    unit, l = member[:, 0], member[:, 1]
+    count = np.diff(uptr)[unit]
+    mptr = np.r_[0, np.cumsum(count)]
+    owner = np.repeat(np.arange(len(unit)), count)  # the cut of each member chain
+    pos = np.arange(mptr[-1]) - mptr[owner]  # its position in the cut
+    j = uptr[unit][owner] + pos
+    chain, tier, lj = uchain[j], utier[j], l[owner]
+    # Tier i of cut n covers periods bounds[n, i]..bounds[n, i + 1] - 1,
+    # and a member chain has one term per period of its tier.
+    bounds = np.column_stack([np.zeros_like(l), member[:, 2:] + 1, l + 1])
+    lo, hi = bounds[owner, tier], bounds[owner, tier + 1]
+    byte = 8 * np.arange((T + 7) // 8)
+    S = bits(lj, chain) & ((1 << np.clip(hi[:, None] - byte, 0, 8))
+                           - (1 << np.clip(lo[:, None] - byte, 0, 8))).astype(np.uint8)
+    masks = np.zeros((len(unit), np.diff(uptr).max(initial=0), len(byte)), dtype=np.uint8)
+    masks[owner, pos] = S
+    length = hi - lo
     ends = np.cumsum(length)
-    x = np.arange(ends[-1]) + np.repeat(chain * T + lo - ends + length, length)  # c*T + k
-    nb = (T + 7) // 8  # bytes per S mask
-    packed = b"".join(map(int.to_bytes, masks, itertools.repeat(nb), itertools.repeat("little")))
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    in_S = bits[x + np.repeat(np.arange(len(chain)) * 8 * nb - chain * T, length)] == 1
-    vals = np.where(in_S, D.ravel()[x * T + np.repeat(np.repeat(ls, counts), length)], 1.0)
-    slots = x + C * T * in_S
-    last = np.cumsum(counts)
-    ptr = [0] + ends[last - 1].tolist()
-    rhs = D[chain[last - counts], 0, ls].tolist()
-    return [Cut(family, key + (l, *split) + masks, None, b,
-                (slot_vars, slots[p:q], vals[p:q]))
-            for (key, l, split, _, masks), b, p, q in zip(members, rhs, ptr, ptr[1:])]
+    term = np.repeat(np.arange(len(chain)), length)  # the member chain of each term
+    k = np.arange(len(term)) + (lo - ends + length)[term]
+    x = chain[term] * T + k  # c*T + k
+    in_S = (S[term, k >> 3] >> (k & 7) & 1).astype(bool)
+    return CutBlock(family, slot_vars, D[chain[mptr[:-1]], 0, l], np.r_[0, ends[mptr[1:] - 1]],
+                    x + C * T * in_S, np.where(in_S, D.ravel()[x * T + lj[term]], 1.0),
+                    units, member, masks)
 
 
 # --------------------------------------------------------------------------
@@ -240,60 +306,56 @@ _FAMILIES: dict[str, tuple[Callable, Callable[[Instance], list]]] = {
 
 def separate(instance: Instance, family: str, point: VarValueMap,
              tol: float = DEFAULT_VIOLATION_TOL) -> list[Cut]:
-    """Every member of a family violated by more than tol at point.
+    """Every member of a family violated by more than tol at point, as the
+    views of one block's cuts, ordered by unit, then l, then split points.
 
     For every horizon end l one kernel pass serves all the family's units;
     a unit's total for each increasing split point tuple is a sum of
-    prefix-sum differences. Cuts come out ordered by unit, then l, then
-    split points."""
+    prefix-sum differences, and the S bits of a hit are the kernel's."""
     chain_space, family_units = _FAMILIES[family]
     cum = cumulative_demand(instance)
     units = family_units(instance)
     chains = chain_space(instance, cum)
     slots = _Slots(chains, point)
-    T = slots.D.shape[1]
+    C, T = slots.D.shape[:2]
     m = len(units[0][1])
     # Per tier: the chain rows to take and their reduceat group starts.
     cols = [[t if isinstance(t, list) else [t] for t in col]
             for col in zip(*(tiers for _, tiers in units))]
     gathers = [(np.concatenate(col), np.cumsum([0] + list(map(len, col[:-1])))) for col in cols]
     first = gathers[0][0]  # the first tier is one chain
-    hits, row_masks, splits_at, spans_at = [], {}, {}, {}
+    in_S_at = np.zeros((T, C, T), dtype=bool)  # in_S_at[l, c, k]: period k of c in S
+    hits = [np.empty((0, m + 1), np.intp)]  # (unit, l, *split) rows
     for l in range(m - 1, T):
-        P, in_S = slots.at(l)
-        splits_at[l] = list(itertools.combinations(range(l), m - 1))
-        bounds = np.array([(-1, *split, l) for split in splits_at[l]]) + 1
+        P, in_S_at[l] = slots.at(l)
+        split = np.array(list(itertools.combinations(range(l), m - 1)), dtype=np.intp)
+        bounds = np.column_stack([np.zeros(len(split), np.intp), split + 1,
+                                  np.full(len(split), l + 1)])
         total = 0.0
         for i, (rows, starts) in enumerate(gathers):
             G = np.add.reduceat(P[rows], starts, axis=0)
             total = total + (G[:, bounds[:, i + 1]] - G[:, bounds[:, i]])
         rhs = slots.D[first, 0, l]
         u, j = np.nonzero((rhs > tol)[:, None] & (rhs[:, None] - total > tol))
-        if len(u):
-            hits += zip(u.tolist(), itertools.repeat(l), j.tolist())
-            row_masks[l] = _row_masks(in_S)
-            spans_at[l] = [[(1 << b) - (1 << a) for a, b in zip(bd, bd[1:])]
-                           for bd in bounds.tolist()]
-    members = []
-    for u, l, j in sorted(hits):
-        key, tiers = units[u]
-        masks = row_masks[l]
-        members.append((key, l, splits_at[l][j], tiers, tuple(
-            tuple(masks[c] & span for c in tier) if isinstance(tier, list) else masks[tier] & span
-            for tier, span in zip(tiers, spans_at[l][j]))))
-    return _cuts(family, chains, members)
+        hits.append(np.column_stack([u, np.full(len(u), l), split[j]]))
+    member = np.concatenate(hits)
+    member = member[np.lexsort(member.T[::-1])]
+    packed = np.packbits(in_S_at, axis=2, bitorder="little")
+    return _block(family, chains, units, member, lambda l_j, c_j: packed[l_j, c_j]).cuts()
 
 
-def _member(tiers_of: dict, m: int, T: int, params) -> Optional[tuple]:
-    """The (key, l, split, tiers, masks) that params names, or None. The
-    split points and l are ints with -1 < split... < l < T, and each tier's
-    masks are ints with bits only in the tier's period segment."""
+def _member(index_of: dict, units: list, m: int, T: int, params) -> Optional[tuple]:
+    """The member row (unit index, l, *split) that params names and its
+    masks, one per member chain, or None. The split points and l are ints
+    with -1 < split... < l < T, and each tier's masks are ints with bits
+    only in the tier's period segment."""
     n = len(params) - 2 * m if type(params) is tuple else -1
-    tiers = tiers_of.get(params[:n]) if n >= 0 else None
-    if tiers is None:
+    u = index_of.get(params[:n]) if n >= 0 else None
+    if u is None:
         return None
-    lo = -1
-    for tier, hi, mask in zip(tiers, params[n + 1:n + m] + params[n:n + 1], params[n + m:]):
+    lo, masks = -1, []
+    for tier, hi, mask in zip(units[u][1], params[n + 1:n + m] + params[n:n + 1],
+                              params[n + m:]):
         group, width = (mask, len(tier)) if isinstance(tier, list) else ((mask,), 1)
         if type(hi) is not int or not lo < hi < T or type(group) is not tuple \
                 or len(group) != width:
@@ -301,12 +363,14 @@ def _member(tiers_of: dict, m: int, T: int, params) -> Optional[tuple]:
         outside = ~((1 << hi + 1) - (1 << lo + 1))
         if any(type(g) is not int or g & outside for g in group):
             return None
+        masks += group
         lo = hi
-    return params[:n], params[n], params[n + 1:n + m], tiers, params[n + m:]
+    return (u, params[n], *params[n + 1:n + m]), masks
 
 
 def make_cuts(instance: Instance, family: str, params_list) -> list[Cut]:
-    """The family's cuts named by params_list, in order, as one row block.
+    """The family's cuts named by params_list, in order, as the views of one
+    block's cuts.
 
     Each params is laid out as Cut.params is: key + (l, *split) + masks,
     where a unit of m tiers has m - 1 split points and m masks (an int for
@@ -315,15 +379,22 @@ def make_cuts(instance: Instance, family: str, params_list) -> list[Cut]:
     and the params when they name no member of the family."""
     chain_space, family_units = _FAMILIES[family]
     cum = cumulative_demand(instance)
-    tiers_of = dict(family_units(instance))
-    m = len(next(iter(tiers_of.values()), ()))
-    members = []
+    units = family_units(instance)
+    index_of = {key: u for u, (key, _) in enumerate(units)}
+    m = len(units[0][1]) if units else 0
+    T = instance.num_periods
+    members, masks = [], []
     for params in params_list:
-        member = _member(tiers_of, m, instance.num_periods, params)
+        member = _member(index_of, units, m, T, params)
         if member is None:
             raise ValueError(f"{params!r} names no member of cut family {family}")
-        members.append(member)
-    return _cuts(family, chain_space(instance, cum), members)
+        members.append(member[0])
+        masks += member[1]
+    nb = (T + 7) // 8  # bytes per S mask
+    packed = np.frombuffer(b"".join(mask.to_bytes(nb, "little") for mask in masks), np.uint8)
+    table = np.array(members, dtype=np.intp).reshape(-1, m + 1)
+    return _block(family, chain_space(instance, cum), units, table,
+                  lambda *_: packed.reshape(-1, nb)).cuts()
 
 
 # --------------------------------------------------------------------------
@@ -340,19 +411,26 @@ _SINGLE, _TWO, _THREE = _by_kind("SL"), _by_kind("TL"), _by_kind("THL")
 
 
 def add_cuts_to_model(model: MipModel, cuts: list[Cut]) -> MipModel:
-    """New model with the cut pool appended as named >= rows. Each distinct
-    slot list is mapped to the model's columns once, whatever their order."""
+    """New model with the cuts appended as named >= rows. Each run of
+    consecutive cuts from one block is appended as one array slice, and
+    each distinct slot list is mapped to the model's columns once, whatever
+    their order."""
     column = dict(zip(model.var_ids, range(len(model.family)))).__getitem__
-    lists = {id(cut.slot_vars): cut.slot_vars for cut in cuts}
-    columns = {key: np.array(list(map(column, vs)), dtype=np.intp) for key, vs in lists.items()}
-    return model.with_rows(
-        row_names=[f"cut_{cut.family}_{n}" for n, cut in enumerate(cuts)],
-        sense=np.full(len(cuts), SENSES.index(Cut.sense), dtype=np.int8),
-        rhs=np.array([cut.rhs for cut in cuts], dtype=float),
-        indptr=np.r_[0, np.cumsum([len(cut.slots) for cut in cuts], dtype=np.intp)],
-        indices=np.concatenate([np.empty(0, dtype=np.intp)]
-                               + [columns[id(cut.slot_vars)][cut.slots] for cut in cuts]),
-        data=np.concatenate([np.empty(0)] + [cut.vals for cut in cuts]))
+    columns: dict[int, np.ndarray] = {}  # by id of a slot list
+    names, parts = [], [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for block, run in itertools.groupby(cuts, attrgetter("block")):
+        rows = np.fromiter(map(attrgetter("row"), run), dtype=np.intp)
+        cols = columns.get(id(block.slot_vars))
+        if cols is None:
+            cols = columns[id(block.slot_vars)] = np.fromiter(map(column, block.slot_vars),
+                                                              np.intp)
+        first, count = block.ptr[rows], block.ptr[rows + 1] - block.ptr[rows]
+        terms = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+        names += [f"cut_{block.family}_{n}" for n in range(len(names), len(names) + len(rows))]
+        parts.append((block.rhs[rows], count, cols[block.slots[terms]], block.vals[terms]))
+    rhs, nnz, indices, data = map(np.concatenate, zip(*parts))
+    return model.with_rows(names, np.full(len(names), SENSES.index(Cut.sense), dtype=np.int8),
+                           rhs, np.r_[0, np.cumsum(nnz)], indices, data)
 
 
 @dataclass
@@ -378,27 +456,29 @@ def cutting_plane_loop(instance: Instance, model: MipModel, lp_source: LpSource,
     if model.kind not in _SINGLE:
         raise ValueError(f"cutting planes are defined for STD and 3LF models, "
                          f"not {model.kind}")
-    pool: dict[tuple, Cut] = {}
+    pool: list[Cut] = []
+    pooled: dict[str, set] = {}  # per family, the keys of its pooled members
     rounds = 0
     objective = None
     tol = config.violation_tol
     for rnd in range(1, config.max_rounds + 1):
-        point = lp_source(add_cuts_to_model(model, list(pool.values())))
+        point = lp_source(add_cuts_to_model(model, pool))
         if point is None:
-            return CutLoopResult(list(pool.values()), rounds, objective,
-                                 "lp_unavailable")
+            return CutLoopResult(pool, rounds, objective, "lp_unavailable")
         rounds = rnd
         objective = objective_value(model, point)
-        found = list(_SINGLE[model.kind](instance, point, tol))
+        found = [_SINGLE[model.kind](instance, point, tol)]
         if rnd % config.two_level_every == 0:
-            found += _TWO[model.kind](instance, point, tol)
+            found.append(_TWO[model.kind](instance, point, tol))
         if rnd % config.three_level_every == 0:
-            found += _THREE[model.kind](instance, point, tol)
-        added = 0
-        for cut in found:
-            if cut.key() not in pool:
-                pool[cut.key()] = cut
-                added += 1
-        if added == 0:
+            found.append(_THREE[model.kind](instance, point, tol))
+        size = len(pool)
+        for cuts in found:  # each the views of one block
+            if cuts:
+                keys = cuts[0].block.keys()
+                seen = pooled.setdefault(cuts[0].family, set())
+                pool += [cut for cut, key in zip(cuts, keys) if key not in seen]
+                seen.update(keys)
+        if len(pool) == size:
             break
-    return CutLoopResult(list(pool.values()), rounds, objective, "ok")
+    return CutLoopResult(pool, rounds, objective, "ok")

@@ -101,13 +101,15 @@ def _chunk(instance: Instance, alpha: float, seed: int, first: int,
     return sols
 
 
+# Finite setup costs can still sum past the float range in a plan, whose
+# cost then comes out inf or nan; run rejects such a run instead of warning.
+@np.errstate(over="ignore", invalid="ignore")
 def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
     problems = validate(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-    with np.errstate(over="ignore"):
-        if not np.isfinite(instance.setup_cost[1:] * (1.0 + config.alpha)).all():
-            raise ValueError(f"alpha {config.alpha!r} inflates a setup cost past the float range")
+    if not np.isfinite(instance.setup_cost[1:] * (1.0 + config.alpha)).all():
+        raise ValueError(f"alpha {config.alpha!r} inflates a setup cost past the float range")
 
     start = time.perf_counter()
     n = config.iterations
@@ -121,6 +123,8 @@ def run(instance: Instance, config: HeuristicConfig) -> HeuristicResult:
             if best is None or sol.cost < best.cost:
                 best = Solution(x=sol.x.copy(), y=sol.y.copy(), s=sol.s.copy(), cost=sol.cost)
         del sol  # frees the chunk's arrays before the next chunk is built
+    if not np.isfinite(costs).all():
+        raise ValueError("an iteration's plan costs sum past the float range")
     wall = time.perf_counter() - start
     return HeuristicResult(best=best, best_cost=best.cost,
                            per_iteration_costs=costs, wall_time=wall)

@@ -463,3 +463,26 @@ def test_inflated_setup_overflow_is_a_usage_error(tmp_path, capsys, edit, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "alpha" in err
     assert err.count("\n") == 1
+    assert not paths["out"].exists() and not paths["mst"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["heur", "{inst}", "--alpha", "0.5"],
+    ["export", "{inst}", "-o", "{out}", "--mip-start", "{mst}"],
+    ["bench", "{dir}", "--alpha", "0.5"],
+], ids=["heur", "mip-start", "bench"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr gets the usage error only
+def test_plan_cost_overflow_is_a_usage_error(tmp_path, capsys, argv):
+    # Every inflated setup cost stays finite, but a plan's costs sum past
+    # the float range.
+    inst = gen_file(tmp_path, "g.inst", retailers=4, warehouses=2, periods=3)
+    for w in (1, 2):
+        _edit_instance(inst, "SETUP", w, "1e308 1e308 1e308")
+    read_instance(inst.read_text())  # still a valid instance
+    paths = {"inst": inst, "out": tmp_path / "m.lp", "mst": tmp_path / "m.mst",
+             "dir": tmp_path}
+    assert cli.main([a.format(**paths) for a in argv]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "float range" in err
+    assert err.count("\n") == 1
+    assert not paths["out"].exists() and not paths["mst"].exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import model_reference
 from conftest import (convex_combination, lf3_point_from_routes, one_round_cuts,
                       random_routes, tiny_instance)
 from lotforge import cuts as cm
@@ -343,8 +344,25 @@ def test_tie_goes_to_setup_term():
     assert mask & 1  # period 0 lands in S despite the tie
 
 
+def _masks(cut, m):
+    """The cut's S masks, one per tier chain (its params end in m masks)."""
+    return [mask for tier in cut.params[-m:]
+            for mask in (tier if isinstance(tier, tuple) else (tier,))]
+
+
+def _reference(ins, cut):
+    """(key, rhs, terms in order) of the cut rebuilt from its family and
+    params by the dict construction of tests/model_reference.py."""
+    args = cut.params
+    if cut.family in ("SL_STD", "TL_STD"):  # (b, idx) names the facility
+        args = (facility_keys(ins).index(args[:2]),) + args[2:]
+    ref = model_reference._MAKE[cut.family](ins, cumulative_demand(ins), *args)
+    return ref.key(), ref.rhs, list(ref.coefs.items())
+
+
 def test_masks_above_bit_62():
-    # 70 periods: S masks need more than 64 bits, so they must stay ints.
+    # 70 periods: S masks need more than 64 bits, so they must stay ints,
+    # in one-chain and in multi-chain tiers alike.
     T = 70
     ins = Instance(num_periods=T, num_warehouses=1, num_retailers=1,
                    retailer_warehouse=[0], demand=[[5] * T],
@@ -355,16 +373,21 @@ def test_masks_above_bit_62():
         b, idx = int(ins.level[fac]), int(ins.ordinal[fac])
         for k in range(T):
             point[VarId("y", b, idx, k)] = 0.1
-            point[VarId("x", b, idx, k)] = 5.0 if k % 2 == 0 else 0.0
-    high = [c for c in cm.separate(ins, "SL_STD", point, tol=10.0)
-            if c.params[3] >> 63]
-    assert high
-    for cut in high:
+            point[VarId("x", b, idx, k)] = point[VarId("x3", b, 0, k)] = \
+                5.0 if k % 2 == 0 else 0.0
+    for family, m in [("SL_STD", 1), ("TL_STD", 2), ("THL_STD", 3),
+                      ("SL_3LF", 1), ("TL_3LF", 2), ("THL_3LF", 3)]:
+        high = [c for c in cm.separate(ins, family, point, tol=10.0)
+                if any(mask >> 63 for mask in _masks(c, m))]
+        assert high, family
+        for cut in high[::len(high) // 40 + 1]:  # THL families find 13,076 each
+            assert _terms(cut) == _reference(ins, cut)
+            assert cm.eval_inequality(cut, point) < -10.0
+    for cut in cm.separate(ins, "SL_STD", point, tol=10.0):
         b, idx, l, mask = cut.params
         # One facility per level, so its flat index is its level b.
         assert mask == sum(1 << k for k in range(l + 1)
                            if cum[b, k, l] * 0.1 <= point[VarId("x", b, idx, k)])
-        assert cm.eval_inequality(cut, point) < -10.0
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +440,13 @@ def test_make_cuts_rebuilds_separated_cuts(seed):
         cuts = cm.separate(ins, family, points[family.partition("_")[2]], tol=1.0)
         rebuilt = cm.make_cuts(ins, family, [cut.params for cut in cuts])
         assert list(map(_terms, rebuilt)) == list(map(_terms, cuts))
+        # The separated cuts are their dict-built rebuilds, ordered by unit
+        # (the family table's order), then l, then split points.
+        assert list(map(_terms, cuts)) == [_reference(ins, cut) for cut in cuts]
+        table = cm._FAMILIES[family][1](ins)
+        units, m = {key: u for u, (key, _) in enumerate(table)}, len(table[0][1])
+        order = [(units[cut.params[:-2 * m]], *cut.params[-2 * m:-m]) for cut in cuts]
+        assert order == sorted(set(order))  # (unit, l, *split), each member once
         found += len(cuts)
     assert found
 
@@ -501,6 +531,40 @@ def test_loop_scripted_mock_matches_expected_pool():
     # Round two's model must include the round-one pool.
     names = [c.name for c in seen_models[1].constraints]
     assert sum(n.startswith("cut_") for n in names) == len(expected)
+
+
+def test_loop_pools_first_seen_union_across_rounds():
+    ins = fixed_instance()
+    rng = np.random.default_rng(31)
+    first = fractional_point_std(ins, rng)
+    # The second point differs in the plant's and a retailer's setups only,
+    # so the two rounds' violated sets overlap without being equal.
+    second = dict(first)
+    for k in range(ins.num_periods):
+        second[VarId("y", 0, 0, k)] *= 0.5
+        second[VarId("y", 2, 1, k)] = 0.0
+    config = cm.CutConfig(violation_tol=1.0, max_rounds=2, two_level_every=1,
+                          three_level_every=1)
+    replies = iter([first, second])
+    result = cm.cutting_plane_loop(ins, build_std(ins), lambda m: next(replies), config)
+    rounds = [[cut for family in ("SL_STD", "TL_STD", "THL_STD")
+               for cut in cm.separate(ins, family, point, config.violation_tol)]
+              for point in (first, second)]
+    keys = [{cut.key() for cut in found} for found in rounds]
+    assert keys[0] & keys[1] and keys[1] - keys[0]
+    union = {}
+    for cut in rounds[0] + rounds[1]:
+        union.setdefault(cut.key(), cut)
+    assert list(map(_terms, result.cuts)) == list(map(_terms, union.values()))
+    # A dict-built cut appended to the pool gives the rows the dict
+    # construction gives, on built and on parsed models.
+    ref = model_reference._MAKE["SL_STD"](ins, cumulative_demand(ins), 1, 3, 0b1010)
+    pool = result.cuts + [cm.Cut(ref.family, ref.params, dict(ref.coefs), ref.rhs)]
+    want = _cut_rows(model_reference.add_cuts_to_model(model_reference.build_std(ins),
+                                                       pool, ins))
+    built = build_std(ins)
+    for model in (built, parse_lp(export_lp(built))):
+        assert _cut_rows(cm.add_cuts_to_model(model, pool)) == want
 
 
 def test_loop_schedule_and_dedup():
